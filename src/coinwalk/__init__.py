@@ -34,7 +34,6 @@ from .graph_core import (
 from .rng import Stream, derive_seed, derive_seeds
 from .generators import (
     FAMILIES,
-    SCAN_LIMIT,
     AssumptionReport,
     GenerationError,
     GenSpec,
@@ -57,7 +56,6 @@ from .moments import (
     REGIME_BELOW_3,
     ClosedFormMoments,
     EnsembleStats,
-    ERMoments,
     ScalingPrediction,
     WeightMoments,
     asymptotic_wbar_k,
@@ -106,7 +104,6 @@ __all__ = [
     "derive_seed",
     "derive_seeds",
     "FAMILIES",
-    "SCAN_LIMIT",
     "WeightSequence",
     "AssumptionReport",
     "GenSpec",
@@ -124,7 +121,6 @@ __all__ = [
     "weights_for",
     "WeightMoments",
     "ClosedFormMoments",
-    "ERMoments",
     "ScalingPrediction",
     "EnsembleStats",
     "REGIME_ABOVE_3",

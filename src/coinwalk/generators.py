@@ -5,21 +5,24 @@ form.  Random families draw every bit of randomness from splitmix64
 streams derived from the caller's seed, so an identical spec (including
 seed) reproduces the identical edge set on any platform.
 
-Two exact samplers cover the independent-pair models (uniform G(n, p) and
-the expected-degree model where pair (u, v) appears with probability
-w_u * w_v / W):
+One exact sampler covers both independent-pair models, the expected-degree
+model where pair (u, v) appears with probability min(1, w_u * w_v / W)
+and uniform G(n, p), its one-class, loop-free case.  It combines the
+geometric skips of Batagelj & Brandes (PRE 71, 036113, 2005) with the
+sorted-weight envelope of Miller & Hagberg (WAW 2011):
 
-* a pair scan that draws one uniform per candidate pair in row-major
-  order -- the correctness reference, used up to ``SCAN_LIMIT`` vertices;
-* a skip sampler that jumps between accepted pairs geometrically, used
-  above ``SCAN_LIMIT``.  For heterogeneous weights this is the
-  sorted-weight envelope walk: weights are non-increasing, so the
-  inclusion probability of the previous pair in a row upper-bounds all
-  later ones and geometric skips under that envelope can be thinned to
-  the exact per-pair probability.
+* the non-increasing weights split into contiguous classes whose weights
+  stay within a factor of 2;
+* each block of pairs between classes A <= B -- a rectangle across two
+  classes, a triangle within one (with its diagonal when self-loops are
+  allowed) -- is walked in row-major order by geometric gaps under its
+  envelope p = min(1, w_A0 * w_B0 / W), the probability of its first pair;
+* each candidate pair is kept with probability q / p, where q is its exact
+  probability; within a block q / p is at least 1/4.
 
-Both samplers realize the same distribution; the test suite checks their
-agreement on edge-count and degree moments.
+Draw order, all from one stream: blocks by class pair (A, B) with A outer
+and B inner; within a block, chunks of at most ``_CHUNK`` gap uniforms,
+each followed by one thinning uniform per candidate it produced.
 """
 
 from __future__ import annotations
@@ -32,14 +35,10 @@ from functools import cached_property
 import numpy as np
 
 from .graph_core import Graph, _check_vertex_count, _csr_from_half_edges, is_connected
-from .rng import Stream, UniformBuffer, derive_seed
+from .rng import Stream, derive_seed
 
-#: Largest n handled by the naive pair scan; above it the skip samplers run.
-SCAN_LIMIT = 20_000
-
-#: Pair scans draw the whole upper triangle in one block up to this many
-#: pairs; beyond it they draw row by row (same order, same values).
-_ONE_SHOT_PAIRS = 3_000_000
+#: Most geometric gaps the pair sampler draws at once; bounds its memory.
+_CHUNK = 1 << 16
 
 
 class GenerationError(RuntimeError):
@@ -285,7 +284,7 @@ def gen_random_regular(n: int, r: int, seed: int, max_retries: int = 1000) -> Gr
 
 
 # ---------------------------------------------------------------------------
-# independent-pair samplers: G(n, p)
+# independent-pair models: one exact sampler
 
 
 def _triangle_bases(n: int) -> np.ndarray:
@@ -294,88 +293,94 @@ def _triangle_bases(n: int) -> np.ndarray:
     return i * n - i * (i + 1) // 2
 
 
-def _pairs_from_linear(linear: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert row-major strict-upper-triangle linear indices to (i, j)."""
-    bases = _triangle_bases(n)
+def _pairs_from_linear(linear: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invert row-major strict-upper-triangle linear indices to (i, j).
+
+    ``bases`` are the triangle's row starts, from :func:`_triangle_bases`.
+    """
     i = np.searchsorted(bases, linear, side="right") - 1
     j = linear - bases[i] + i + 1
     return i, j
 
 
-def _gnp_scan(n: int, p: float, stream: Stream) -> tuple[np.ndarray, np.ndarray]:
-    """One uniform per unordered pair, row-major order."""
-    total = n * (n - 1) // 2
-    if total <= _ONE_SHOT_PAIRS:
-        u = stream.uniforms(total)
-        hit = np.nonzero(u < p)[0]
-        return _pairs_from_linear(hit, n)
-    us, vs = [], []
-    for row in range(n - 1):
-        block = stream.uniforms(n - 1 - row)
-        hit = np.nonzero(block < p)[0]
-        if hit.size:
-            us.append(np.full(hit.size, row, dtype=np.int64))
-            vs.append(hit + row + 1)
-    if not us:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+def _geometric_walk(size: int, p: float, stream: Stream):
+    """Yield, chunk by chunk, the positions of range(size) kept by Bernoulli(p) trials.
+
+    Gaps between kept positions are geometric, floor(log(1-u) / log(1-p)),
+    so only about size * p uniforms are drawn.  Positions stay exact in
+    float64 because every kept one is below size < 2**53.
+    """
+    log_q = math.log1p(-p) if p < 1.0 else -math.inf  # p = 1: every gap is 0
+    cursor = 0
+    while cursor < size:
+        chunk = min(_CHUNK, int((size - cursor) * p * 1.1) + 16)
+        gaps = np.floor(np.log1p(-stream.uniforms(chunk)) / log_q)
+        pos = cursor + np.cumsum(gaps + 1.0) - 1.0
+        inside = pos[pos < size]
+        yield inside.astype(np.int64)
+        cursor = size if inside.size < chunk else int(pos[-1]) + 1
+
+
+def _independent_pairs(w: np.ndarray, total: float, loops: bool,
+                       stream: Stream) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs u <= v, each present independently w.p. min(1, w_u w_v / W).
+
+    ``w`` must be non-increasing; pairs u == v are drawn only with
+    ``loops``.  The method and draw order are in the module docstring.
+    """
+    n = w.size
+    neg = -w
+    bounds = [0]
+    while bounds[-1] < n:
+        bounds.append(int(np.searchsorted(neg, neg[bounds[-1]] / 2, side="right")))
+    classes = list(zip(bounds, bounds[1:]))
+    us, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for a, (a0, a1) in enumerate(classes):
+        for b0, b1 in classes[a:]:
+            p = min(1.0, w[a0] * w[b0] / total)
+            if a0 == b0:
+                # with loops, pair (i, i) is (i, i + 1) of a strict triangle one wider
+                side = a1 - a0 + loops
+                size = side * (side - 1) // 2
+                bases = _triangle_bases(side)
+            else:
+                size = (a1 - a0) * (b1 - b0)
+            for linear in _geometric_walk(size, p, stream):
+                if a0 == b0:
+                    i, j = _pairs_from_linear(linear, bases)
+                    u, v = a0 + i, a0 + j - loops
+                else:
+                    u, v = a0 + linear // (b1 - b0), b0 + linear % (b1 - b0)
+                q = w[u] * w[v] / total  # exceeds p only where p is clamped at 1
+                keep = stream.uniforms(linear.size) < q / p
+                us.append(u[keep])
+                vs.append(v[keep])
     return np.concatenate(us), np.concatenate(vs)
 
 
-def _gnp_skip(n: int, p: float, stream: Stream) -> tuple[np.ndarray, np.ndarray]:
-    """Geometric gaps between accepted pairs along the linear pair order."""
-    total = n * (n - 1) // 2
-    log_q = math.log1p(-p)
-    taken: list[np.ndarray] = []
-    cursor = 0
-    while cursor < total:
-        expect = (total - cursor) * p
-        block = min(8_000_000, max(1024, int(expect * 1.15) + 64))
-        u = stream.uniforms(block)
-        gaps = np.floor(np.log1p(-u) / log_q)
-        gaps = np.minimum(gaps, float(total)).astype(np.int64)
-        pos = cursor + np.cumsum(gaps + 1) - 1
-        inside = pos[pos < total]
-        taken.append(inside)
-        if inside.size < pos.size:
-            cursor = total
-        else:
-            cursor = int(pos[-1]) + 1
-    linear = np.concatenate(taken) if taken else np.empty(0, dtype=np.int64)
-    return _pairs_from_linear(linear, n)
-
-
 def gen_gnp(n: int, p: float, seed: int, require_connected: bool = False,
-            max_retries: int = 100, method: str = "auto") -> Graph:
+            max_retries: int = 100) -> Graph:
     """Uniform random graph: each of the C(n, 2) pairs is an edge w.p. p.
 
-    ``method`` selects the sampler: "scan" draws one uniform per pair,
-    "skip" jumps geometrically between edges, "auto" picks scan up to
-    ``SCAN_LIMIT`` vertices and skip beyond.  With ``require_connected``
-    the sample is regenerated from a fresh derived seed until connected,
-    up to ``max_retries`` attempts.
+    This is the one-class, loop-free case of the expected-degree sampler.
+    With ``require_connected`` the sample is regenerated from a fresh
+    derived seed until connected, up to ``max_retries`` attempts.
     """
     _check_vertex_count(n)
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
-    if method not in ("auto", "scan", "skip"):
-        raise ValueError(f"unknown sampling method {method!r}")
     if require_connected and n > 1 and n * p < math.log(n):
         warnings.warn(
             f"n*p = {n * p:.3g} is below log(n) = {math.log(n):.3g}; "
             "connected samples will be rare in this regime",
             stacklevel=2,
         )
-    use_scan = method == "scan" or (method == "auto" and n <= SCAN_LIMIT)
     for attempt in range(max_retries):
         stream = Stream(derive_seed(seed, attempt))
-        if p >= 1.0:
-            g = gen_complete(n) if n >= 2 else build_trivial(n)
-        elif p <= 0.0 or n == 1:
-            g = _csr_from_half_edges(n, np.empty(0, np.int64), np.empty(0, np.int64))
-        elif use_scan:
-            g = _csr_from_half_edges(n, *_gnp_scan(n, p, stream))
+        if p <= 0.0:
+            g = build_trivial(n)
         else:
-            g = _csr_from_half_edges(n, *_gnp_skip(n, p, stream))
+            g = _csr_from_half_edges(n, *_independent_pairs(np.ones(n), 1.0 / p, False, stream))
         if not require_connected or is_connected(g):
             return g
     raise GenerationError(f"no connected G({n}, {p}) sample in {max_retries} attempts")
@@ -386,84 +391,8 @@ def build_trivial(n: int) -> Graph:
     return _csr_from_half_edges(n, np.empty(0, np.int64), np.empty(0, np.int64))
 
 
-# ---------------------------------------------------------------------------
-# independent-pair samplers: expected-degree model
-
-
-def _chunglu_scan(w: np.ndarray, total: float, stream: Stream,
-                  allow_self_loops: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One uniform per pair in row-major order (diagonal first per row).
-
-    A pair probability above 1 accepts every uniform, so the scan
-    realizes the clamped model min(1, w_u w_v / W) with no special case.
-    """
-    n = w.size
-    k = 0 if allow_self_loops else 1
-    pairs = n * (n + 1) // 2 if allow_self_loops else n * (n - 1) // 2
-    if pairs <= _ONE_SHOT_PAIRS:
-        iu, jv = np.triu_indices(n, k=k)
-        probs = w[iu] * w[jv] / total
-        hit = stream.uniforms(pairs) < probs
-        return iu[hit].astype(np.int64), jv[hit].astype(np.int64)
-    us, vs = [], []
-    for row in range(n):
-        lo = row + k
-        if lo >= n:
-            break
-        block = stream.uniforms(n - lo)
-        hit = np.nonzero(block < w[row] * w[lo:] / total)[0]
-        if hit.size:
-            us.append(np.full(hit.size, row, dtype=np.int64))
-            vs.append(hit + lo)
-    if not us:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(us), np.concatenate(vs)
-
-
-def _chunglu_skip(w: np.ndarray, total: float, stream: Stream,
-                  allow_self_loops: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted-weight envelope walk with geometric skips, exact per pair.
-
-    Within row u the pair probabilities q_v = min(1, w_u w_v / W) are
-    non-increasing in v, so the probability at the last visited position
-    bounds all later ones.  Candidate positions arrive at geometric gaps
-    under that envelope p and are kept with probability q_v / p, which
-    realizes independent Bernoulli(q_v) draws exactly while touching only
-    O(edges) positions.
-    """
-    n = w.size
-    wl = w.tolist()
-    inv_total = 1.0 / total
-    buf = UniformBuffer(stream, block=1 << 15)
-    take = buf.take
-    log1p = math.log1p
-    us: list[int] = []
-    vs: list[int] = []
-    for u in range(n):
-        wu = wl[u]
-        if allow_self_loops and take() < wu * wu * inv_total:
-            us.append(u)
-            vs.append(u)
-        v = u + 1
-        if v >= n:
-            continue
-        p = min(1.0, wu * wl[v] * inv_total)
-        while v < n and p > 0.0:
-            if p < 1.0:
-                v += int(log1p(-take()) / log1p(-p))
-                if v >= n:
-                    break
-            q = min(1.0, wu * wl[v] * inv_total)
-            if take() * p < q:
-                us.append(u)
-                vs.append(v)
-            p = q
-            v += 1
-    return np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
-
-
 def gen_expected_degree(w: WeightSequence, seed: int, allow_self_loops: bool = True,
-                        method: str = "auto", strict: bool = True) -> Graph:
+                        strict: bool = True) -> Graph:
     """Random graph where pair (u, v), u < v, is an edge w.p. w_u w_v / W.
 
     With ``allow_self_loops`` each vertex additionally receives a loop
@@ -473,22 +402,14 @@ def gen_expected_degree(w: WeightSequence, seed: int, allow_self_loops: bool = T
     weights that violate it.  With ``strict=False`` the sampler instead
     clamps each pair probability at 1 -- useful right at the m = sqrt(n*d)
     boundary, where finite-n weight sums fall a few percent short of n*d.
-    ``method`` as in :func:`gen_gnp`.
     """
     if strict and not w.probabilities_valid():
         raise ValueError(
             f"invalid pair probabilities: max weight squared {w.max_weight**2:.6g} "
             f"exceeds total weight {w.total:.6g} (pass strict=False to clamp at 1)")
-    if method not in ("auto", "scan", "skip"):
-        raise ValueError(f"unknown sampling method {method!r}")
-    n = w.n
     stream = Stream(derive_seed(seed, 0))
-    use_scan = method == "scan" or (method == "auto" and n <= SCAN_LIMIT)
-    if use_scan:
-        u, v = _chunglu_scan(w.weights, w.total, stream, allow_self_loops)
-    else:
-        u, v = _chunglu_skip(w.weights, w.total, stream, allow_self_loops)
-    return _csr_from_half_edges(n, u, v)
+    u, v = _independent_pairs(w.weights, w.total, allow_self_loops, stream)
+    return _csr_from_half_edges(w.n, u, v)
 
 
 # ---------------------------------------------------------------------------

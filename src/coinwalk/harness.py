@@ -174,6 +174,33 @@ def _check_positive_int(value: Any, name: str) -> int:
     return out
 
 
+def _check_probability(value: Any, name: str) -> float:
+    out = _as_number(value, name)
+    if not 0.0 <= out <= 1.0:
+        raise SpecError(f"{name} must lie in [0, 1], got {out}")
+    return out
+
+
+def _check_gamma(value: Any, name: str) -> float:
+    out = _as_number(value, name)
+    if out <= 2:
+        raise SpecError(f"{name} must exceed 2, got {out}")
+    return out
+
+
+def _check_positive(value: Any, name: str) -> float:
+    out = _as_number(value, name)
+    if out <= 0:
+        raise SpecError(f"{name} must be positive, got {out}")
+    return out
+
+
+def _check_m(value: Any, name: str) -> float | str:
+    if value == "sqrt_nd":
+        return value
+    return _check_positive(value, name)
+
+
 _GRAPH_KEYS = {
     "complete": set(),
     "circulant": {"k"},
@@ -198,12 +225,7 @@ def _parse_graph(block: Any) -> dict[str, Any]:
     elif family == "random_regular":
         out["r"] = _scalar_or_list(_need(block, "r", "'graph'"), "graph.r", _check_positive_int)
     elif family == "gnp":
-        def conv_p(v, name):
-            x = _as_number(v, name)
-            if not 0.0 <= x <= 1.0:
-                raise SpecError(f"{name} must lie in [0, 1], got {x}")
-            return x
-        out["p"] = _scalar_or_list(_need(block, "p", "'graph'"), "graph.p", conv_p)
+        out["p"] = _scalar_or_list(_need(block, "p", "'graph'"), "graph.p", _check_probability)
         out["require_connected"] = _as_bool(block.get("require_connected", False),
                                             "graph.require_connected")
     elif family == "expected_degree":
@@ -212,33 +234,13 @@ def _parse_graph(block: Any) -> dict[str, Any]:
         if has_w and has_plaw:
             raise SpecError("graph block takes either 'w' or 'gamma'/'d'/'m', not both")
         if has_w:
-            def conv_w(v, name):
-                x = _as_number(v, name)
-                if x <= 0:
-                    raise SpecError(f"{name} must be positive, got {x}")
-                return x
-            out["w"] = _scalar_or_list(block["w"], "graph.w", conv_w)
+            out["w"] = _scalar_or_list(block["w"], "graph.w", _check_positive)
         elif has_plaw:
-            def conv_gamma(v, name):
-                x = _as_number(v, name)
-                if x <= 2:
-                    raise SpecError(f"{name} must exceed 2, got {x}")
-                return x
-
-            def conv_pos(v, name):
-                x = _as_number(v, name)
-                if x <= 0:
-                    raise SpecError(f"{name} must be positive, got {x}")
-                return x
-
-            def conv_m(v, name):
-                if v == "sqrt_nd":
-                    return v
-                return conv_pos(v, name)
             out["gamma"] = _scalar_or_list(_need(block, "gamma", "'graph'"),
-                                           "graph.gamma", conv_gamma)
-            out["d"] = _scalar_or_list(_need(block, "d", "'graph'"), "graph.d", conv_pos)
-            out["m"] = _scalar_or_list(_need(block, "m", "'graph'"), "graph.m", conv_m)
+                                           "graph.gamma", _check_gamma)
+            out["d"] = _scalar_or_list(_need(block, "d", "'graph'"), "graph.d",
+                                       _check_positive)
+            out["m"] = _scalar_or_list(_need(block, "m", "'graph'"), "graph.m", _check_m)
         else:
             raise SpecError("expected_degree graph needs 'w' or 'gamma'/'d'/'m'")
         out["allow_self_loops"] = _as_bool(block.get("allow_self_loops", True),
@@ -270,29 +272,12 @@ def _parse_sweep(block: Any) -> dict[str, Any]:
         raise SpecError("'sweep' must be an object")
     _reject_unknown(block, {"n", "gamma", "d", "m", "seeds_per_point",
                             "allow_self_loops", "strict"}, "'sweep'")
-
-    def conv_gamma(v, name):
-        x = _as_number(v, name)
-        if x <= 2:
-            raise SpecError(f"{name} must exceed 2, got {x}")
-        return x
-
-    def conv_pos(v, name):
-        x = _as_number(v, name)
-        if x <= 0:
-            raise SpecError(f"{name} must be positive, got {x}")
-        return x
-
-    def conv_m(v, name):
-        if v == "sqrt_nd":
-            return v
-        return conv_pos(v, name)
-
     out = {
         "n": _scalar_or_list(_need(block, "n", "'sweep'"), "sweep.n", _check_positive_int),
-        "gamma": _scalar_or_list(_need(block, "gamma", "'sweep'"), "sweep.gamma", conv_gamma),
-        "d": _scalar_or_list(_need(block, "d", "'sweep'"), "sweep.d", conv_pos),
-        "m": _scalar_or_list(_need(block, "m", "'sweep'"), "sweep.m", conv_m),
+        "gamma": _scalar_or_list(_need(block, "gamma", "'sweep'"), "sweep.gamma",
+                                 _check_gamma),
+        "d": _scalar_or_list(_need(block, "d", "'sweep'"), "sweep.d", _check_positive),
+        "m": _scalar_or_list(_need(block, "m", "'sweep'"), "sweep.m", _check_m),
         "seeds_per_point": _check_positive_int(block.get("seeds_per_point", 1),
                                                "sweep.seeds_per_point"),
         "allow_self_loops": _as_bool(block.get("allow_self_loops", True),

@@ -155,17 +155,7 @@ def closed_form_moments(w: WeightSequence, strict: bool = True) -> ClosedFormMom
     return ClosedFormMoments(ED=ed, VarD=var, ED2=ed2, VarD2_bound=bound)
 
 
-@dataclass(frozen=True)
-class ERMoments:
-    """Uniform-weight (w = n*p) specialization of the closed forms."""
-
-    ED: float
-    VarD: float
-    ED2: float
-    VarD2_bound: float
-
-
-def er_moments(n: int, p: float) -> ERMoments:
+def er_moments(n: int, p: float) -> ClosedFormMoments:
     """Closed forms for uniform weights w = n*p in terms of n and p.
 
     These describe the expected-degree sampler with constant weights,
@@ -177,7 +167,7 @@ def er_moments(n: int, p: float) -> ERMoments:
     if not (0.0 < p <= 1.0):
         raise ValueError("p must lie in (0, 1]")
     nf = float(n)
-    return ERMoments(
+    return ClosedFormMoments(
         ED=nf**2 * p,
         VarD=(2 * nf - 1) * nf * p * (1 - p),
         ED2=nf**2 * (nf - 1) * p**2,

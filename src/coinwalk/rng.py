@@ -16,8 +16,6 @@ across platforms.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -97,7 +95,7 @@ def uniform_from_u64(words: np.ndarray) -> np.ndarray:
 class Stream:
     """A sequential splitmix64 stream.
 
-    Scalar draws (`uniform`, `randint`, ...) and block draws (`uniforms`)
+    Scalar draws (`next_u64`, `uniform`) and block draws (`uniforms`)
     consume the same underlying u64 sequence, so code may mix them freely
     without changing what any later draw sees.
     """
@@ -124,49 +122,4 @@ class Stream:
         self.state = (self.state + size * GOLDEN_GAMMA) & MASK64
         return uniform_from_u64(words)
 
-    def exponential(self, mean: float = 1.0) -> float:
-        """One Exp(mean) draw via inversion; consumes one uniform."""
-        return -mean * math.log1p(-self.uniform())
 
-    def randint(self, upper: int) -> int:
-        """One integer uniform on {0, ..., upper-1}.
-
-        Uses ``floor(u * upper)``; for upper far below 2**53 the bias is
-        negligible (well under one part in 2**40 for upper <= 10**7).
-        """
-        if upper <= 0:
-            raise ValueError("upper must be positive")
-        k = int(self.uniform() * upper)
-        return min(k, upper - 1)
-
-    def jump(self, steps: int) -> None:
-        """Skip ``steps`` draws without generating them."""
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        self.state = (self.state + steps * GOLDEN_GAMMA) & MASK64
-
-
-class UniformBuffer:
-    """Scalar-consumption view over block-generated uniforms.
-
-    Tight Python loops (skip samplers, pairing retries) call :meth:`take`
-    once per draw; refills happen in vectorized blocks so the per-draw cost
-    stays near list-indexing speed while the consumed sequence is exactly
-    the stream's.
-    """
-
-    __slots__ = ("_stream", "_block", "_buf", "_pos")
-
-    def __init__(self, stream: Stream, block: int = 1 << 14):
-        self._stream = stream
-        self._block = int(block)
-        self._buf: list[float] = []
-        self._pos = 0
-
-    def take(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = self._stream.uniforms(self._block).tolist()
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u

@@ -44,7 +44,6 @@ class SimConfig:
     beta: float = 0.0
     replicates: int = 1
     master_seed: int = 0
-    init_mode: str = "stationary"
     chunk_size: int = 1 << 15
 
     def __post_init__(self):
@@ -54,8 +53,6 @@ class SimConfig:
             raise ValueError("beta must be finite and non-negative")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
-        if self.init_mode != "stationary":
-            raise ValueError("only stationary initialization is supported")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
         if self.master_seed < 0:

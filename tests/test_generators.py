@@ -1,10 +1,9 @@
-"""Tests for graph generators: invariants, determinism, sampler agreement.
+"""Tests for graph generators: invariants, determinism, exactness.
 
-The two independent-pair samplers (pair scan and geometric skip) must
-realize the same distribution.  That is checked empirically: per-pair
-inclusion frequencies over a few thousand replicates must match the exact
-pair probabilities within Monte Carlo tolerance, for both samplers, on
-graphs small enough to enumerate.
+The independent-pair sampler must realize the exact pair probabilities.
+That is checked empirically: per-pair inclusion frequencies over a few
+thousand replicates must match min(1, w_u w_v / W) within Monte Carlo
+tolerance, on graphs small enough to enumerate.
 """
 
 import math
@@ -12,7 +11,6 @@ import math
 import numpy as np
 import pytest
 
-import coinwalk.generators as gens
 from coinwalk.generators import (
     FAMILIES,
     GenerationError,
@@ -177,8 +175,6 @@ def test_gnp_edge_cases():
         gen_gnp(10, 1.5, seed=1)
     with pytest.raises(ValueError):
         gen_gnp(10, -0.1, seed=1)
-    with pytest.raises(ValueError, match="unknown sampling method"):
-        gen_gnp(10, 0.5, seed=1, method="bogus")
 
 
 def test_gnp_determinism_and_validity():
@@ -187,27 +183,6 @@ def test_gnp_determinism_and_validity():
     assert g == gen_gnp(200, 0.05, seed=11)
     assert g != gen_gnp(200, 0.05, seed=12)
     assert g.self_loop_count == 0
-
-
-def test_gnp_auto_matches_scan_below_limit():
-    for seed in (0, 5):
-        a = gen_gnp(300, 0.03, seed=seed, method="auto")
-        s = gen_gnp(300, 0.03, seed=seed, method="scan")
-        assert a == s
-
-
-def test_gnp_auto_matches_skip_above_limit():
-    n = gens.SCAN_LIMIT + 1
-    a = gen_gnp(n, 1e-4, seed=3, method="auto")
-    s = gen_gnp(n, 1e-4, seed=3, method="skip")
-    assert a == s
-    validate_graph(a)
-
-
-def test_gnp_scan_row_blocking_is_invisible(monkeypatch):
-    whole = gen_gnp(60, 0.2, seed=7, method="scan")
-    monkeypatch.setattr(gens, "_ONE_SHOT_PAIRS", 10)
-    assert gen_gnp(60, 0.2, seed=7, method="scan") == whole
 
 
 def test_gnp_mean_edge_count():
@@ -219,20 +194,19 @@ def test_gnp_mean_edge_count():
     assert abs(mean - total_pairs * p) < 4 * se
 
 
-def test_gnp_per_pair_frequencies_match_both_methods():
+def test_gnp_per_pair_frequencies_are_exact():
     n, p, reps = 6, 0.3, 4000
     pairs = n * (n - 1) // 2
     tol = 5 * math.sqrt(p * (1 - p) / reps)
-    for method in ("scan", "skip"):
-        hits = np.zeros((n, n))
-        for s in range(reps):
-            g = gen_gnp(n, p, seed=derive_seed(100, s), method=method)
-            row = np.repeat(np.arange(n), g.degrees)
-            hits[row, g.neighbors] += 1
-        iu, jv = np.triu_indices(n, k=1)
-        freq = hits[iu, jv] / reps
-        assert freq.shape == (pairs,)
-        assert np.all(np.abs(freq - p) < tol), method
+    hits = np.zeros((n, n))
+    for s in range(reps):
+        g = gen_gnp(n, p, seed=derive_seed(100, s))
+        row = np.repeat(np.arange(n), g.degrees)
+        hits[row, g.neighbors] += 1
+    iu, jv = np.triu_indices(n, k=1)
+    freq = hits[iu, jv] / reps
+    assert freq.shape == (pairs,)
+    assert np.all(np.abs(freq - p) < tol)
 
 
 def test_gnp_connectivity_conditioning():
@@ -259,11 +233,10 @@ def test_expected_degree_strict_rejects_invalid_probabilities():
 def test_expected_degree_clamping_is_exact():
     # both pair and loop probabilities clamp to 1: the sample is forced
     bad = uniform_weights(2, 5.0)
-    for method in ("scan", "skip"):
-        g = gen_expected_degree(bad, seed=1, strict=False, method=method)
-        assert g.edge_count == 3  # edge (0,1) plus both loops
-        assert g.self_loop_count == 2
-        assert np.all(g.degrees == 2)
+    g = gen_expected_degree(bad, seed=1, strict=False)
+    assert g.edge_count == 3  # edge (0,1) plus both loops
+    assert g.self_loop_count == 2
+    assert np.all(g.degrees == 2)
 
 
 def test_expected_degree_determinism_and_loops():
@@ -276,35 +249,30 @@ def test_expected_degree_determinism_and_loops():
     assert no_loops.self_loop_count == 0
 
 
-def test_expected_degree_auto_matches_scan_below_limit():
-    w = power_law_weights(400, 2.8, 3.0, 30.0)
-    assert gen_expected_degree(w, seed=2, method="auto") == gen_expected_degree(
-        w, seed=2, method="scan"
-    )
-
-
-def test_expected_degree_scan_row_blocking_is_invisible(monkeypatch):
-    w = power_law_weights(80, 3.0, 4.0, 16.0)
-    whole = gen_expected_degree(w, seed=4, method="scan")
-    monkeypatch.setattr(gens, "_ONE_SHOT_PAIRS", 16)
-    assert gen_expected_degree(w, seed=4, method="scan") == whole
-
-
-def test_expected_degree_per_pair_frequencies_match_both_methods():
-    # heterogeneous weights, loops on: every pair (u <= v) checked
-    w = WeightSequence(weights=np.array([2.5, 2.0, 1.5, 1.0, 1.0, 0.5]))
-    n, total, reps = w.n, w.total, 4000
-    iu, jv = np.triu_indices(n, k=0)
-    probs = w.weights[iu] * w.weights[jv] / total
-    tol = 5 * np.sqrt(probs * (1 - probs) / reps) + 1e-12
-    for method in ("scan", "skip"):
+def test_expected_degree_per_pair_frequencies_are_exact():
+    # Every pair (u <= v) against min(1, w_u w_v / W).  The first weights
+    # form two classes: rectangles across them, triangles within them with
+    # the diagonal (loops on) and without it (loops off).  The last has
+    # w_0^2 > W, so vertex 0's loop block has a clamped envelope of 1.
+    two_classes = [2.5, 2.0, 1.5, 1.0, 1.0, 0.5]
+    cases = [(two_classes, True), (two_classes, False), ([4.0, 1.0, 1.0, 1.0, 0.5], True)]
+    reps = 4000
+    for weights, loops in cases:
+        w = WeightSequence(weights=np.array(weights))
+        n = w.n
+        iu, jv = np.triu_indices(n, k=0 if loops else 1)
+        probs = np.minimum(1.0, w.weights[iu] * w.weights[jv] / w.total)
+        tol = 5 * np.sqrt(probs * (1 - probs) / reps) + 1e-12
         hits = np.zeros((n, n))
         for s in range(reps):
-            g = gen_expected_degree(w, seed=derive_seed(200, s), method=method)
+            g = gen_expected_degree(w, seed=derive_seed(200, s),
+                                    allow_self_loops=loops, strict=False)
             row = np.repeat(np.arange(n), g.degrees)
             np.add.at(hits, (row, g.neighbors), 1)
+        if not loops:
+            assert not np.any(np.diag(hits))
         freq = hits[iu, jv] / reps
-        assert np.all(np.abs(freq - probs) < tol), method
+        assert np.all(np.abs(freq - probs) < tol), (weights, loops)
 
 
 def test_expected_degree_mean_degree_tracks_weights():

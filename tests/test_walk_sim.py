@@ -47,8 +47,6 @@ def test_sim_config_validation():
         SimConfig(t_horizon=1.0, beta=-0.5)
     with pytest.raises(ValueError, match="replicates"):
         SimConfig(t_horizon=1.0, replicates=0)
-    with pytest.raises(ValueError, match="stationary"):
-        SimConfig(t_horizon=1.0, init_mode="uniform")
     with pytest.raises(ValueError, match="chunk_size"):
         SimConfig(t_horizon=1.0, chunk_size=0)
 

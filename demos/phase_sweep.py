@@ -52,7 +52,7 @@ def main():
     print("regime predictions at fixed d = 5, m = 100:")
     for gamma in (2.2, 2.8, 3.0, 3.3, 4.5):
         pred = predict_scaling(gamma, 5.0, 100.0)
-        log_note = " * log(m/d)" if pred.has_log_factor else ""
+        log_note = " * log(m/d)" if pred.log_factor else ""
         print(f"  gamma = {gamma:3.1f}  {pred.regime:<15} "
               f"leading term ~ {pred.leading_estimate:10.4f} "
               f"* (m/d)^{pred.growth_exponent_in_md:.2f}{log_note}")

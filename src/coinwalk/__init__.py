@@ -77,10 +77,8 @@ from .walk_sim import (
     SimConfig,
     Theorem1Check,
     estimate_tau,
-    sample_stationary,
     simulate_batch,
     simulate_pair,
-    single_walk,
     verify_theorem1,
 )
 
@@ -142,11 +140,9 @@ __all__ = [
     "ReplicateBatch",
     "MCEstimate",
     "Theorem1Check",
-    "sample_stationary",
     "simulate_pair",
     "simulate_batch",
     "estimate_tau",
     "verify_theorem1",
-    "single_walk",
     "__version__",
 ]

@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .harness import ResultRow, SpecError, emit, load_spec, run_experiment
+from .harness import ResultRow, SpecError, emit, fill_row, load_spec, run_experiment
 from .moments import predict_scaling
 
 EXIT_OK = 0
@@ -95,10 +95,8 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SPEC
-        row = ResultRow(row=0, kind="predict", gamma=args.gamma, d=args.d, m=args.m,
-                        regime=pred.regime, leading_estimate=pred.leading_estimate,
-                        growth_exponent_in_md=pred.growth_exponent_in_md,
-                        log_factor=pred.has_log_factor)
+        row = fill_row(ResultRow(row=0, kind="predict", gamma=args.gamma, d=args.d,
+                                 m=args.m), pred)
         return _emit_or_die([row], args.format, args.out)
     try:
         spec = load_spec(args.spec)

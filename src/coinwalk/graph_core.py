@@ -159,19 +159,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _csr_from_half_edges(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
-    """Build a Graph from deduplicated canonical edges (u <= v).
+    """Build a Graph from deduplicated canonical int64 edges (u <= v).
 
     Trusted internal constructor: callers guarantee bounds, canonical order
     and uniqueness.  Self-loops (u == v) produce a single adjacency entry.
+    Each half-edge s -> t becomes the key s * n + t, which fits in int64
+    because n <= MAX_VERTICES; one sort of the keys orders the adjacency
+    by row and, within a row, by neighbor.
     """
     off_diag = u != v
-    src = np.concatenate([u, v[off_diag]])
-    dst = np.concatenate([v, u[off_diag]])
-    order = np.lexsort((dst, src))
-    neighbors = dst[order].astype(np.int32, copy=False)
-    counts = np.bincount(src, minlength=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    key = np.concatenate([u * n + v, v[off_diag] * n + u[off_diag]])
+    key.sort()
+    neighbors = (key % n).astype(np.int32)
+    offsets = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
     return Graph(n=n, offsets=_freeze(offsets), neighbors=_freeze(neighbors))
 
 
@@ -197,10 +197,10 @@ def build_graph(n: int, edges, allow_self_loops: bool = False) -> Graph:
     if not allow_self_loops and np.any(u == v):
         loop_at = int(u[u == v][0])
         raise ValueError(f"self-loop at vertex {loop_at} but allow_self_loops is false")
-    if u.size:
-        key = u * np.int64(n) + v
-        _, first = np.unique(key, return_index=True)
-        u, v = u[first], v[first]
+    # sorted keys drop their repeats; np.unique would hash them, several
+    # times slower than this sort on numpy 2.x
+    key = np.sort(u * n + v)
+    u, v = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
     return _csr_from_half_edges(n, u, v)
 
 
@@ -218,12 +218,9 @@ def validate_graph(g: Graph) -> None:
     row_id = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
     same_row = row_id[1:] == row_id[:-1]
     assert np.all(np.diff(g.neighbors.astype(np.int64))[same_row] > 0)
-    # symmetry: sorted (src, dst) equals sorted (dst, src)
-    a = np.stack([row_id, g.neighbors.astype(np.int64)])
-    b = np.stack([g.neighbors.astype(np.int64), row_id])
-    a = a[:, np.lexsort((a[1], a[0]))]
-    b = b[:, np.lexsort((b[1], b[0]))]
-    assert np.array_equal(a, b)
+    # symmetry: sorted keys of (src, dst) equal sorted keys of (dst, src)
+    nbrs = g.neighbors.astype(np.int64)
+    assert np.array_equal(np.sort(row_id * g.n + nbrs), np.sort(nbrs * g.n + row_id))
 
 
 def stationary_distribution(g: Graph) -> StationaryDistribution:

@@ -8,9 +8,9 @@ A spec file describes one experiment of a given kind:
   against the coincidence-time predictions;
 * ``ensemble`` -- estimate mean/variance of D and D2 over replicate
   graphs per grid point;
-* ``sweep``    -- power-law moment sweep over (n, gamma, d, m) grids,
-  recording the measured meeting-rate ratio n * sum(pi_v^2) against its
-  predicted scaling regime.
+* ``sweep``    -- draw each point of a power-law ``expected_degree`` grid
+  over (n, gamma, d, m) ``seeds_per_point`` times, recording the mean
+  meeting-rate ratio n * sum(pi_v^2) against its predicted scaling regime.
 
 Every run is reproducible byte for byte: grid point i draws all its
 randomness from the derived seed (master_seed, i), rows are emitted in
@@ -39,7 +39,6 @@ from .moments import closed_form_moments, ensemble_estimate, er_moments, predict
 from .rng import derive_seed
 from .walk_sim import SimConfig, verify_theorem1
 
-KINDS = ("analyze", "simulate", "ensemble", "sweep")
 FORMATS = ("csv", "json")
 
 
@@ -109,16 +108,32 @@ class ResultRow:
 COLUMNS = tuple(f.name for f in fields(ResultRow) if f.name != "wall_time_s")
 
 
+def fill_row(row: ResultRow, *results: Any) -> ResultRow:
+    """Copy each result dataclass's fields onto the same-named columns of row.
+
+    Fields that name no column are skipped.
+    """
+    for result in results:
+        for f in fields(result):
+            if f.name in COLUMNS:
+                setattr(row, f.name, getattr(result, f.name))
+    return row
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A parsed, validated experiment description."""
+    """A parsed, validated experiment description.
+
+    Every kind carries its grid in ``graph``; a sweep's is a power-law
+    ``expected_degree`` block.
+    """
 
     kind: str
     seed: int
-    graph: dict[str, Any] | None = None
+    graph: dict[str, Any]
     sim: dict[str, Any] | None = None
     ensemble_replicates: int | None = None
-    sweep: dict[str, Any] | None = None
+    seeds_per_point: int | None = None
     out_path: str | None = None
     out_format: str = "csv"
     description: str | None = None
@@ -201,54 +216,77 @@ def _check_m(value: Any, name: str) -> float | str:
     return _check_positive(value, name)
 
 
-_GRAPH_KEYS = {
-    "complete": set(),
-    "circulant": {"k"},
-    "random_regular": {"r"},
-    "gnp": {"p", "require_connected"},
-    "expected_degree": {"gamma", "d", "m", "w", "allow_self_loops",
-                        "require_connected", "strict"},
+#: Grid parameters with the converter that validates each value.  Key
+#: order is the grid's expansion order: the first present one varies slowest.
+_PARAMS = {
+    "n": _check_positive_int,
+    "k": _check_positive_int,
+    "r": _check_positive_int,
+    "p": _check_probability,
+    "gamma": _check_gamma,
+    "d": _check_positive,
+    "m": _check_m,
+    "w": _check_positive,
 }
+
+#: Optional boolean generator flags; their defaults live on GenSpec alone.
+_FLAGS = ("allow_self_loops", "require_connected", "strict")
+
+#: Grid parameters and flags each graph family accepts besides "family".
+_FAMILY_KEYS = {
+    "complete": ("n",),
+    "circulant": ("n", "k"),
+    "random_regular": ("n", "r"),
+    "gnp": ("n", "p", "require_connected"),
+    "expected_degree": ("n", "gamma", "d", "m", "w") + _FLAGS,
+}
+
+
+def _parse_keys(block: dict, keys: tuple[str, ...], name: str) -> dict[str, Any]:
+    """Validate the grid parameters and flags named by ``keys``.
+
+    Every grid parameter is required and becomes a list of values.  Flags
+    are optional booleans; one the spec omits is left out of the result.
+    """
+    out: dict[str, Any] = {}
+    for key in keys:
+        if key in _PARAMS:
+            out[key] = _scalar_or_list(_need(block, key, f"'{name}'"), f"{name}.{key}",
+                                       _PARAMS[key])
+        elif key in block:
+            out[key] = _as_bool(block[key], f"{name}.{key}")
+    return out
 
 
 def _parse_graph(block: Any) -> dict[str, Any]:
     if not isinstance(block, dict):
         raise SpecError("'graph' must be an object")
     family = _need(block, "family", "'graph'")
-    if family not in _GRAPH_KEYS:
+    if family not in _FAMILY_KEYS:
         raise SpecError(f"unknown graph family {family!r}")
-    _reject_unknown(block, {"family", "n"} | _GRAPH_KEYS[family], f"'graph' ({family})")
-    out: dict[str, Any] = {"family": family}
-    out["n"] = _scalar_or_list(_need(block, "n", "'graph'"), "graph.n", _check_positive_int)
-    if family == "circulant":
-        out["k"] = _scalar_or_list(_need(block, "k", "'graph'"), "graph.k", _check_positive_int)
-    elif family == "random_regular":
-        out["r"] = _scalar_or_list(_need(block, "r", "'graph'"), "graph.r", _check_positive_int)
-    elif family == "gnp":
-        out["p"] = _scalar_or_list(_need(block, "p", "'graph'"), "graph.p", _check_probability)
-        out["require_connected"] = _as_bool(block.get("require_connected", False),
-                                            "graph.require_connected")
-    elif family == "expected_degree":
+    keys = _FAMILY_KEYS[family]
+    _reject_unknown(block, {"family", *keys}, f"'graph' ({family})")
+    if family == "expected_degree":
         has_w = "w" in block
         has_plaw = any(key in block for key in ("gamma", "d", "m"))
         if has_w and has_plaw:
             raise SpecError("graph block takes either 'w' or 'gamma'/'d'/'m', not both")
-        if has_w:
-            out["w"] = _scalar_or_list(block["w"], "graph.w", _check_positive)
-        elif has_plaw:
-            out["gamma"] = _scalar_or_list(_need(block, "gamma", "'graph'"),
-                                           "graph.gamma", _check_gamma)
-            out["d"] = _scalar_or_list(_need(block, "d", "'graph'"), "graph.d",
-                                       _check_positive)
-            out["m"] = _scalar_or_list(_need(block, "m", "'graph'"), "graph.m", _check_m)
-        else:
+        if not (has_w or has_plaw):
             raise SpecError("expected_degree graph needs 'w' or 'gamma'/'d'/'m'")
-        out["allow_self_loops"] = _as_bool(block.get("allow_self_loops", True),
-                                           "graph.allow_self_loops")
-        out["require_connected"] = _as_bool(block.get("require_connected", False),
-                                            "graph.require_connected")
-        out["strict"] = _as_bool(block.get("strict", True), "graph.strict")
-    return out
+        unused = ("gamma", "d", "m") if has_w else ("w",)
+        keys = tuple(key for key in keys if key not in unused)
+    return {"graph": {"family": family, **_parse_keys(block, keys, "graph")}}
+
+
+def _parse_sweep(block: Any) -> dict[str, Any]:
+    """A sweep is a power-law expected_degree grid drawn seeds_per_point times."""
+    if not isinstance(block, dict):
+        raise SpecError("'sweep' must be an object")
+    keys = ("n", "gamma", "d", "m", "allow_self_loops", "strict")
+    _reject_unknown(block, {*keys, "seeds_per_point"}, "'sweep'")
+    graph = {"family": "expected_degree", **_parse_keys(block, keys, "sweep")}
+    seeds = _check_positive_int(block.get("seeds_per_point", 1), "sweep.seeds_per_point")
+    return {"graph": graph, "seeds_per_point": seeds}
 
 
 def _parse_sim(block: Any) -> dict[str, Any]:
@@ -264,27 +302,34 @@ def _parse_sim(block: Any) -> dict[str, Any]:
     replicates = _as_int(_need(block, "replicates", "'sim'"), "sim.replicates")
     if replicates < 2:
         raise SpecError(f"sim.replicates must be at least 2, got {replicates}")
-    return {"t_horizon": t_horizon, "beta": beta, "replicates": replicates}
+    return {"sim": {"t_horizon": t_horizon, "beta": beta, "replicates": replicates}}
 
 
-def _parse_sweep(block: Any) -> dict[str, Any]:
+def _parse_ensemble(block: Any) -> dict[str, Any]:
     if not isinstance(block, dict):
-        raise SpecError("'sweep' must be an object")
-    _reject_unknown(block, {"n", "gamma", "d", "m", "seeds_per_point",
-                            "allow_self_loops", "strict"}, "'sweep'")
-    out = {
-        "n": _scalar_or_list(_need(block, "n", "'sweep'"), "sweep.n", _check_positive_int),
-        "gamma": _scalar_or_list(_need(block, "gamma", "'sweep'"), "sweep.gamma",
-                                 _check_gamma),
-        "d": _scalar_or_list(_need(block, "d", "'sweep'"), "sweep.d", _check_positive),
-        "m": _scalar_or_list(_need(block, "m", "'sweep'"), "sweep.m", _check_m),
-        "seeds_per_point": _check_positive_int(block.get("seeds_per_point", 1),
-                                               "sweep.seeds_per_point"),
-        "allow_self_loops": _as_bool(block.get("allow_self_loops", True),
-                                     "sweep.allow_self_loops"),
-        "strict": _as_bool(block.get("strict", True), "sweep.strict"),
-    }
-    return out
+        raise SpecError("'ensemble' must be an object")
+    _reject_unknown(block, {"replicates"}, "'ensemble'")
+    replicates = _as_int(_need(block, "replicates", "'ensemble'"), "ensemble.replicates")
+    if replicates < 2:
+        raise SpecError(f"ensemble.replicates must be at least 2, got {replicates}")
+    return {"ensemble_replicates": replicates}
+
+
+#: Spec blocks in checking order, each parsed into ExperimentSpec fields.
+_BLOCKS = {
+    "graph": _parse_graph,
+    "sweep": _parse_sweep,
+    "sim": _parse_sim,
+    "ensemble": _parse_ensemble,
+}
+
+#: The blocks each kind requires; every other block is rejected.
+_KIND_BLOCKS = {
+    "analyze": ("graph",),
+    "simulate": ("graph", "sim"),
+    "ensemble": ("graph", "ensemble"),
+    "sweep": ("sweep",),
+}
 
 
 def parse_spec(text: str) -> ExperimentSpec:
@@ -302,10 +347,9 @@ def parse_spec(text: str) -> ExperimentSpec:
     if not isinstance(doc, dict):
         raise SpecError("spec must be a JSON object")
     kind = _need(doc, "kind", "spec")
-    if kind not in KINDS:
-        raise SpecError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
-    _reject_unknown(doc, {"kind", "seed", "description", "output", "graph", "sim",
-                          "ensemble", "sweep"}, "spec")
+    if kind not in _KIND_BLOCKS:
+        raise SpecError(f"unknown kind {kind!r}; expected one of {', '.join(_KIND_BLOCKS)}")
+    _reject_unknown(doc, {"kind", "seed", "description", "output", *_BLOCKS}, "spec")
     seed = _as_int(_need(doc, "seed", "spec"), "seed")
     if seed < 0:
         raise SpecError(f"seed must be non-negative, got {seed}")
@@ -324,36 +368,14 @@ def parse_spec(text: str) -> ExperimentSpec:
         out_format = blk.get("format", "csv")
         if out_format not in FORMATS:
             raise SpecError(f"output.format must be one of {', '.join(FORMATS)}")
-
-    graph = sim = sweep = None
-    ens_reps = None
-    if kind in ("analyze", "simulate", "ensemble"):
-        graph = _parse_graph(_need(doc, "graph", "spec"))
-        for key in ("sweep",):
-            if key in doc:
-                raise SpecError(f"key {key!r} is not valid for kind {kind!r}")
-    if kind == "simulate":
-        sim = _parse_sim(_need(doc, "sim", "spec"))
-    elif "sim" in doc:
-        raise SpecError(f"key 'sim' is not valid for kind {kind!r}")
-    if kind == "ensemble":
-        blk = _need(doc, "ensemble", "spec")
-        if not isinstance(blk, dict):
-            raise SpecError("'ensemble' must be an object")
-        _reject_unknown(blk, {"replicates"}, "'ensemble'")
-        ens_reps = _as_int(_need(blk, "replicates", "'ensemble'"), "ensemble.replicates")
-        if ens_reps < 2:
-            raise SpecError(f"ensemble.replicates must be at least 2, got {ens_reps}")
-    elif "ensemble" in doc:
-        raise SpecError(f"key 'ensemble' is not valid for kind {kind!r}")
-    if kind == "sweep":
-        sweep = _parse_sweep(_need(doc, "sweep", "spec"))
-        if "graph" in doc:
-            raise SpecError("key 'graph' is not valid for kind 'sweep'")
-    return ExperimentSpec(kind=kind, seed=seed, graph=graph, sim=sim,
-                          ensemble_replicates=ens_reps, sweep=sweep,
-                          out_path=out_path, out_format=out_format,
-                          description=description)
+    parsed: dict[str, Any] = {}
+    for name, parse in _BLOCKS.items():
+        if name in _KIND_BLOCKS[kind]:
+            parsed.update(parse(_need(doc, name, "spec")))
+        elif name in doc:
+            raise SpecError(f"key {name!r} is not valid for kind {kind!r}")
+    return ExperimentSpec(kind=kind, seed=seed, out_path=out_path, out_format=out_format,
+                          description=description, **parsed)
 
 
 def load_spec(path: str) -> ExperimentSpec:
@@ -365,23 +387,18 @@ def load_spec(path: str) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 # grid expansion
 
-#: Grid axes in expansion order: the leftmost present axis varies slowest.
-_GRID_AXES = ("n", "k", "r", "p", "gamma", "d", "m", "w")
-
 
 def expand_grid(spec: ExperimentSpec) -> list[dict[str, Any]]:
     """Enumerate grid points in deterministic order.
 
-    The cartesian product runs over the axes present in the spec, ordered
-    ``n, k, r, p, gamma, d, m, w`` with the last axis varying fastest.
-    Each point carries its scalar parameters; an ``m`` of "sqrt_nd" is
-    resolved to sqrt(n * d) here.
+    The cartesian product runs over the grid parameters present in the
+    spec's graph block, ordered ``n, k, r, p, gamma, d, m, w`` with the
+    last varying fastest.  Each point carries its scalar parameters; an
+    ``m`` of "sqrt_nd" is resolved to sqrt(n * d) here.
     """
-    block = spec.sweep if spec.kind == "sweep" else spec.graph
-    axes = [name for name in _GRID_AXES if name in block]
-    combos = product(*(block[name] for name in axes))
+    axes = [name for name in _PARAMS if name in spec.graph]
     points = []
-    for combo in combos:
+    for combo in product(*(spec.graph[name] for name in axes)):
         point = dict(zip(axes, combo))
         if point.get("m") == "sqrt_nd":
             point["m"] = math.sqrt(point["n"] * point["d"])
@@ -393,96 +410,49 @@ def expand_grid(spec: ExperimentSpec) -> list[dict[str, Any]]:
 # execution
 
 
-def _gen_spec_for(spec: ExperimentSpec, point: dict[str, Any], seed: int) -> GenSpec:
-    if spec.kind == "sweep":
-        return GenSpec(family="expected_degree", n=point["n"], seed=seed,
-                       gamma=point["gamma"], d=point["d"], m=point["m"],
-                       allow_self_loops=spec.sweep["allow_self_loops"],
-                       strict=spec.sweep["strict"])
-    graph = spec.graph
-    return GenSpec(
-        family=graph["family"], n=point["n"], seed=seed,
-        k=point.get("k"), r=point.get("r"), p=point.get("p"),
-        gamma=point.get("gamma"), d=point.get("d"), m=point.get("m"),
-        w=point.get("w"),
-        allow_self_loops=graph.get("allow_self_loops", True),
-        require_connected=graph.get("require_connected", False),
-        strict=graph.get("strict", True),
-    )
-
-
 def _fill_closed_forms(row: ResultRow, gen: GenSpec) -> None:
     """Closed-form moment predictions, where the pair model defines them."""
     if gen.family == "gnp":
-        er = er_moments(gen.n, gen.p)
-        row.ED, row.VarD, row.ED2, row.VarD2_bound = er.ED, er.VarD, er.ED2, er.VarD2_bound
+        fill_row(row, er_moments(gen.n, gen.p))
     elif gen.family == "expected_degree":
-        cf = closed_form_moments(weights_for(gen), strict=gen.strict)
-        row.ED, row.VarD, row.ED2, row.VarD2_bound = cf.ED, cf.VarD, cf.ED2, cf.VarD2_bound
+        fill_row(row, closed_form_moments(weights_for(gen), strict=gen.strict))
         if gen.gamma is not None:
-            pred = predict_scaling(gen.gamma, gen.d, gen.m)
-            row.regime = pred.regime
-            row.leading_estimate = pred.leading_estimate
-            row.growth_exponent_in_md = pred.growth_exponent_in_md
-            row.log_factor = pred.has_log_factor
+            fill_row(row, predict_scaling(gen.gamma, gen.d, gen.m))
 
 
 def _run_point(spec: ExperimentSpec, index: int, point: dict[str, Any]) -> ResultRow:
     start = time.perf_counter()
     point_seed = derive_seed(spec.seed, index)
-    family = "expected_degree" if spec.kind == "sweep" else spec.graph["family"]
-    row = ResultRow(row=index, kind=spec.kind, family=family, seed=point_seed,
-                    n=point.get("n"), k=point.get("k"), r=point.get("r"),
-                    p=point.get("p"), gamma=point.get("gamma"), d=point.get("d"),
-                    m=point.get("m"), w=point.get("w"))
+    family = spec.graph["family"]
+    flags = {key: spec.graph[key] for key in _FLAGS if key in spec.graph}
+    row = ResultRow(row=index, kind=spec.kind, family=family, seed=point_seed, **point)
     try:
-        gen = _gen_spec_for(spec, point, derive_seed(point_seed, 0))
+        gen = GenSpec(family=family, seed=derive_seed(point_seed, 0), **point, **flags)
         _fill_closed_forms(row, gen)
         if spec.kind in ("analyze", "simulate"):
             g = generate(gen)
             stats = degree_statistics(g)
+            fill_row(row, stats)
             row.edges = g.edge_count
             row.self_loops = g.self_loop_count
-            row.D = stats.D
-            row.D2 = stats.D2
             row.sum_pi_sq = stats.coincidence_rate
             row.n_sum_pi_sq = g.n * stats.coincidence_rate
             row.connected = is_connected(g)
             if spec.kind == "simulate":
-                cfg = SimConfig(t_horizon=spec.sim["t_horizon"], beta=spec.sim["beta"],
-                                replicates=spec.sim["replicates"],
-                                master_seed=derive_seed(point_seed, 1))
+                cfg = SimConfig(master_seed=derive_seed(point_seed, 1), **spec.sim)
                 check = verify_theorem1(g, cfg)
-                row.t_horizon = cfg.t_horizon
-                row.beta = cfg.beta
-                row.replicates = cfg.replicates
-                row.mean_tau = check.mc.mean_tau
-                row.stderr_tau = check.mc.stderr_tau
-                row.mean_infection_prob = check.mc.mean_infection_prob
-                row.stderr_infection_prob = check.mc.stderr_infection_prob
-                row.predicted_tau = check.predicted_tau
-                row.gamma_upper = check.gamma_upper
-                row.tau_z_score = check.tau_z_score
-                row.jensen_satisfied = check.jensen_satisfied
+                fill_row(row, cfg, check.mc, check)
         elif spec.kind == "ensemble":
-            ens = ensemble_estimate(gen, spec.ensemble_replicates,
-                                    seed=derive_seed(point_seed, 0))
-            row.ens_replicates = ens.replicates
-            row.mean_D = ens.mean_D
-            row.var_D = ens.var_D
-            row.mean_D2 = ens.mean_D2
-            row.var_D2 = ens.var_D2
+            fill_row(row, ensemble_estimate(gen, spec.ensemble_replicates, seed=gen.seed))
         else:
             draw = sampler_for(gen)
-            per_point = spec.sweep["seeds_per_point"]
-            base = derive_seed(point_seed, 0)
-            ratios = np.empty(per_point)
-            for j in range(per_point):
-                g = draw(derive_seed(base, j))
+            ratios = np.empty(spec.seeds_per_point)
+            for j in range(spec.seeds_per_point):
+                g = draw(derive_seed(gen.seed, j))
                 ratios[j] = g.n * degree_statistics(g).coincidence_rate
-            row.seeds_per_point = per_point
+            row.seeds_per_point = spec.seeds_per_point
             row.n_sum_pi_sq = float(ratios.mean())
-            if per_point >= 2:
+            if spec.seeds_per_point >= 2:
                 row.sd_n_sum_pi_sq = float(ratios.std(ddof=1))
     except (ValueError, GenerationError) as exc:
         row.error = str(exc)

@@ -21,7 +21,6 @@ n^2(n-1)p^2 and 8n^4p^3 + 2n^3p^2.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -197,14 +196,14 @@ class ScalingPrediction:
     ``leading_estimate`` evaluates (wbar_2 + d) / d^2, the large-n limit of
     n * sum(pi_v^2) with wbar_2 at its asymptotic value;
     ``growth_exponent_in_md`` is the power of m in that estimate (0 in the
-    convergent regime) and ``has_log_factor`` marks the logarithmic
+    convergent regime) and ``log_factor`` marks the logarithmic
     boundary case.
     """
 
     regime: str
     leading_estimate: float
     growth_exponent_in_md: float
-    has_log_factor: bool
+    log_factor: bool
 
 
 def predict_scaling(gamma: float, d: float, m: float) -> ScalingPrediction:
@@ -226,7 +225,7 @@ def predict_scaling(gamma: float, d: float, m: float) -> ScalingPrediction:
         regime=regime,
         leading_estimate=(wbar2 + d) / d**2,
         growth_exponent_in_md=exponent,
-        has_log_factor=logf,
+        log_factor=logf,
     )
 
 
@@ -242,38 +241,28 @@ class EnsembleStats:
     var_D: float
     mean_D2: float
     var_D2: float
-    replicates: int
+    ens_replicates: int
 
 
-def ensemble_estimate(spec: GenSpec, replicates: int, seed: int,
-                      jobs: int = 1) -> EnsembleStats:
+def ensemble_estimate(spec: GenSpec, replicates: int, seed: int) -> EnsembleStats:
     """Monte Carlo moments of (D, D2) for a graph spec.
 
     Replicate r draws the graph with the derived seed (seed, r), so the
-    estimate is independent of ``jobs`` and of spec.seed.  Variances use
-    the unbiased (ddof = 1) estimator.
+    estimate is independent of spec.seed.  Variances use the unbiased
+    (ddof = 1) estimator.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a variance estimate")
     draw = sampler_for(spec)
     d_vals = np.empty(replicates, dtype=np.float64)
     d2_vals = np.empty(replicates, dtype=np.float64)
-
-    def one(r: int) -> tuple[float, float]:
+    for r in range(replicates):
         stats = degree_statistics(draw(derive_seed(seed, r)))
-        return float(stats.D), float(stats.D2)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for r, (dv, d2v) in enumerate(pool.map(one, range(replicates))):
-                d_vals[r], d2_vals[r] = dv, d2v
-    else:
-        for r in range(replicates):
-            d_vals[r], d2_vals[r] = one(r)
+        d_vals[r], d2_vals[r] = stats.D, stats.D2
     return EnsembleStats(
         mean_D=float(d_vals.mean()),
         var_D=float(d_vals.var(ddof=1)),
         mean_D2=float(d2_vals.mean()),
         var_D2=float(d2_vals.var(ddof=1)),
-        replicates=replicates,
+        ens_replicates=replicates,
     )

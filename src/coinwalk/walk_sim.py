@@ -125,12 +125,6 @@ def _stationary_cumsum(g: Graph) -> np.ndarray:
     return g.degree_cumsum.astype(np.float64)
 
 
-def sample_stationary(g: Graph, stream: Stream) -> int:
-    """Draw one vertex with probability proportional to its degree."""
-    cum = _stationary_cumsum(g)
-    return int(np.searchsorted(cum, stream.uniform() * cum[-1], side="right"))
-
-
 def simulate_pair(g: Graph, t_horizon: float, beta: float, seed: int) -> CoincidenceResult:
     """Run one replicate event by event (scalar reference path).
 
@@ -335,33 +329,3 @@ def verify_theorem1(g: Graph, cfg: SimConfig) -> Theorem1Check:
         tau_z_score=z,
         jensen_satisfied=bool(mc.mean_infection_prob <= bounds.gamma_upper + allowance),
     )
-
-
-def single_walk(g: Graph, n_events: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trajectory diagnostic for one walker: holding times and visited vertices.
-
-    Returns ``(holding_times, positions)`` with ``n_events`` Exp(1)
-    holding times and ``n_events + 1`` positions starting from a
-    stationary draw.  Draw order: one block of holding-time uniforms, then
-    one block of jump-choice uniforms.
-    """
-    if n_events < 0:
-        raise ValueError("n_events must be non-negative")
-    stream = Stream(derive_seed(seed, 0))
-    start = sample_stationary(g, stream)
-    holding = -np.log1p(-stream.uniforms(n_events))
-    choices = stream.uniforms(n_events)
-    positions = np.empty(n_events + 1, dtype=np.int64)
-    positions[0] = start
-    offs, nbrs = g.offsets, g.neighbors
-    degs = g.degrees.tolist()
-    offs_l = offs.tolist()
-    nbrs_l = nbrs.tolist()
-    pos = start
-    out = positions
-    for i, u in enumerate(choices.tolist()):
-        deg = degs[pos]
-        k = min(int(u * deg), deg - 1)
-        pos = nbrs_l[offs_l[pos] + k]
-        out[i + 1] = pos
-    return holding, positions

@@ -15,7 +15,7 @@ inline.  Ten criteria:
  7. relative D2 concentration tightens as n grows;
  8. the meeting-rate ratio n * sum(pi^2) shows the predicted phase
     behavior in the power-law exponent;
- 9. walker micro-properties (holding times, neighbor choice, occupancy);
+ 9. walker micro-properties (jump counts, occupancy);
 10. byte-identical output across repeated runs and worker counts.
 """
 
@@ -51,7 +51,7 @@ from coinwalk.moments import (
     er_moments,
 )
 from coinwalk.rng import derive_seed
-from coinwalk.walk_sim import SimConfig, simulate_batch, single_walk
+from coinwalk.walk_sim import SimConfig, simulate_batch
 
 
 def report(label: str, detail: str) -> None:
@@ -297,44 +297,35 @@ def test_meeting_rate_phase_behavior_in_gamma():
 
 
 def test_walk_microproperties():
-    """Holding times, neighbor choice and occupancy match the walk's law."""
+    """Jump counts and occupancy of the batch engine match the walk's law."""
     start = time.perf_counter()
     g = path3()
-    # holding-time mean within 3 SE of 1 over 1e6 events
-    holds, positions = single_walk(g, 10**6, seed=99)
-    mean = float(holds.mean())
-    se = float(holds.std(ddof=1)) / math.sqrt(holds.size)
-    z_hold = abs(mean - 1.0) / se
-    assert z_hold <= 3.0
-
-    # departures from the center of P3 choose each neighbor uniformly (4 SE)
-    from_center = positions[:-1] == 1
-    dests = positions[1:][from_center]
-    se_dest = math.sqrt(0.25 / dests.size)
-    z_dest = max(
-        abs(float((dests == 0).mean()) - 0.5) / se_dest,
-        abs(float((dests == 2).mean()) - 0.5) / se_dest,
-    )
-    assert z_dest <= 4.0
-
-    # marginal occupancy matches pi at T/4, T/2 and T (4 SE per vertex)
+    # each walker jumps at the rings of its own rate-1 clock, so its jump
+    # count over [0, t] is Poisson(t): mean t, variance t (4 SE per walker);
+    # marginal occupancy matches pi at 0 (the stationary initial draw), T/4,
+    # T/2 and T (4 SE per vertex)
     t_final = 12.0
     replicates = 40000
     pi = stationary_distribution(g).probs
-    z_occ = 0.0
-    for t in (t_final / 4, t_final / 2, t_final):
+    z_jump = z_occ = 0.0
+    for t in (0.0, t_final / 4, t_final / 2, t_final):
         batch = simulate_batch(g, SimConfig(t_horizon=t, replicates=replicates,
                                             master_seed=314))
+        if t > 0:
+            se_jump = math.sqrt(t / replicates)
+            for jumps in (batch.jumps_x, batch.jumps_y):
+                z_jump = max(z_jump, abs(float(jumps.mean()) - t) / se_jump)
         for v in range(g.n):
             freq = float((batch.final_x == v).mean())
             se_v = math.sqrt(pi[v] * (1 - pi[v]) / replicates)
             z_occ = max(z_occ, abs(freq - pi[v]) / se_v)
+    assert z_jump <= 4.0
     assert z_occ <= 4.0
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     report("walk micro-properties",
-           f"holding z={z_hold:.2f}, neighbor-choice z={z_dest:.2f}, "
-           f"occupancy worst z={z_occ:.2f} ({elapsed:.1f}s)")
+           f"jump-count worst z={z_jump:.2f}, occupancy worst z={z_occ:.2f} "
+           f"({elapsed:.1f}s)")
 
 
 def test_output_is_byte_deterministic(tmp_path, capsys):

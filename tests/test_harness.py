@@ -1,5 +1,6 @@
 """Tests for the experiment harness: spec parsing, grids, rows, emission, CLI."""
 
+import hashlib
 import json
 import math
 
@@ -88,7 +89,7 @@ def test_parse_graph_families():
 def test_parse_expected_degree_variants():
     uni = parse_spec(spec_text(graph={"family": "expected_degree", "n": 8, "w": 2.0}))
     assert uni.graph["w"] == [2.0]
-    assert uni.graph["strict"] is True
+    assert "strict" not in uni.graph  # an omitted flag takes GenSpec's default
     plaw = parse_spec(spec_text(graph={
         "family": "expected_degree", "n": [100, 1000], "gamma": 2.5, "d": 5,
         "m": "sqrt_nd", "strict": False}))
@@ -415,3 +416,89 @@ def test_cli_predict(capsys):
     assert cells["regime"] == "gamma_below_3"
     assert cells["growth_exponent_in_md"] == "0.5"
     assert main(["predict", "--gamma", "1.5", "--d", "5", "--m", "500"]) == EXIT_SPEC
+
+
+# ---------------------------------------------------------------------------
+# golden output bytes
+
+#: (subcommand, spec or predict flags) -> sha256 of (CSV, JSON) stdout.
+GOLDEN = {
+    "analyze-complete": (
+        "analyze", {"kind": "analyze", "seed": 5,
+                    "graph": {"family": "complete", "n": [2, 5]}}),
+    "analyze-circulant": (
+        "analyze", {"kind": "analyze", "seed": 5,
+                    "graph": {"family": "circulant", "n": [4, 9], "k": [1, 2]}}),
+    "analyze-gnp-connected": (
+        "analyze", {"kind": "analyze", "seed": 6,
+                    "graph": {"family": "gnp", "n": [12, 30], "p": [0.25, 0.5],
+                              "require_connected": True}}),
+    "analyze-expected-degree-sqrt-nd": (
+        "analyze", {"kind": "analyze", "seed": 9,
+                    "graph": {"family": "expected_degree", "n": [50, 200],
+                              "gamma": [2.5, 3.0], "d": 3, "m": "sqrt_nd",
+                              "strict": False}}),
+    "simulate-random-regular": (
+        "simulate", {"kind": "simulate", "seed": 3,
+                     "graph": {"family": "random_regular", "n": [8, 12], "r": 3},
+                     "sim": {"t_horizon": 5.0, "beta": 0.5, "replicates": 200}}),
+    "ensemble-expected-degree-w": (
+        "ensemble", {"kind": "ensemble", "seed": 4,
+                     "graph": {"family": "expected_degree", "n": [6, 10], "w": [1.0, 2.5],
+                               "allow_self_loops": False},
+                     "ensemble": {"replicates": 40}}),
+    "sweep-sqrt-nd": (
+        "sweep", {"kind": "sweep", "seed": 2,
+                  "sweep": {"n": [100, 300], "gamma": [2.5, 3.5], "d": 4.0,
+                            "m": "sqrt_nd", "seeds_per_point": 2, "strict": False}}),
+    "predict": ("predict", ["--gamma", "2.5", "--d", "5", "--m", "500"]),
+}
+
+GOLDEN_SHA256 = {
+    "analyze-complete": (
+        "6282286d31c7fd467629f6bdab7cf00f9f48d4f113ef3e97b6c0d50befb8fde7",
+        "6bf01fb0d1b302845dd90e2ef39d5b45ffacc0bc8df40478a39a86ef49e9ba52"),
+    "analyze-circulant": (
+        "f7a3e03b37e4515a2eaee94139b277bbdf6563e9be38509a47a8da5cab7f751b",
+        "32758ae3de6327879a4cd64e602c4cd3f71157b3cc8cfd4a5497b0a144d4adbd"),
+    "analyze-gnp-connected": (
+        "92bca53c0ccb3a4df37b37c3222675ad35c825bd51ba384be8ee346692cee065",
+        "7446226c6b114f2a6e1dd05d070d3efe0a34989c19dc78ef6350c02615944200"),
+    "analyze-expected-degree-sqrt-nd": (
+        "bc20acc30e5b697dcaf42ea6f1bad9c19a548c57d0c8471bbe93f7db21251a3a",
+        "806f6032b624817e1ecb067962215b8165c54617926f281528328845302c2c2c"),
+    "simulate-random-regular": (
+        "4a5d11ee9dad5e73849fa8717315cf471bdc85f008ad5c2b689cda30b90f04dc",
+        "6fad9a68de4c04e26d0068de42d36593f73193fe4bb3a2d2a44e30b029bdc299"),
+    "ensemble-expected-degree-w": (
+        "132f161d7e6430d61bfddb4c1cc382f6c0ec2d8e83582845253df81210486222",
+        "95fa57028a280e00959365071a2ab1594dc555ec885233c4a5c009a6eacf7014"),
+    "sweep-sqrt-nd": (
+        "3205c039d95fd1eb5c8f2ee78fac9ea1b6340bfde30099bab72bbb14073226a0",
+        "c45f591693c700a8a351b862502e24f82723672f976e1f17e63cc8c12b4acbbd"),
+    "predict": (
+        "660337ec2c9ea395b806959217b3763b607dfa20cfa89414fb233e8aa180ac83",
+        "65145c9c328187e26401c6bf3116115c6a40be42b79f9804e71784236b0d51ef"),
+}
+
+
+def test_cli_output_matches_golden_hashes(tmp_path, capsys):
+    """CLI output bytes for tiny specs of every kind and format are pinned.
+
+    These hashes change only when a change states in CHANGES.md that it
+    alters the random-stream layout or a formula; any other difference in
+    the emitted bytes is a regression.
+    """
+    got = {}
+    for name, (command, args) in GOLDEN.items():
+        if command != "predict":
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(args), encoding="utf-8")
+            args = ["--spec", str(path)]
+        hashes = []
+        for fmt in ("csv", "json"):
+            main([command, *args, "--format", fmt])
+            out = capsys.readouterr().out
+            hashes.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+        got[name] = tuple(hashes)
+    assert got == GOLDEN_SHA256

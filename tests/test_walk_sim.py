@@ -13,17 +13,15 @@ import numpy as np
 import pytest
 
 from coinwalk.generators import gen_complete, gen_gnp
-from coinwalk.graph_core import build_graph, stationary_distribution
-from coinwalk.rng import Stream, derive_seed, derive_seeds
+from coinwalk.graph_core import build_graph
+from coinwalk.rng import derive_seed, derive_seeds
 from coinwalk.walk_sim import (
     CoincidenceResult,
     SimConfig,
     _simulate_streams,
     estimate_tau,
-    sample_stationary,
     simulate_batch,
     simulate_pair,
-    single_walk,
     verify_theorem1,
 )
 
@@ -57,19 +55,6 @@ def test_simulation_rejects_edgeless_graph():
         simulate_pair(g, 1.0, 0.0, seed=1)
     with pytest.raises(ValueError, match="no edges"):
         simulate_batch(g, SimConfig(t_horizon=1.0))
-
-
-def test_sample_stationary_distribution():
-    g = star3()
-    pi = stationary_distribution(g).probs
-    stream = Stream(404)
-    counts = np.zeros(4)
-    reps = 20000
-    for _ in range(reps):
-        counts[sample_stationary(g, stream)] += 1
-    freq = counts / reps
-    se = np.sqrt(pi * (1 - pi) / reps)
-    assert np.all(np.abs(freq - pi) < 5 * se)
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +218,3 @@ def test_verify_theorem1_on_k5():
     assert check.tau_z_score < 4.0
     assert check.jensen_satisfied
 
-
-def test_single_walk_output_shape():
-    g = path3()
-    holds, positions = single_walk(g, 1000, seed=12)
-    assert holds.shape == (1000,)
-    assert positions.shape == (1001,)
-    assert np.all(holds > 0)
-    assert positions.min() >= 0 and positions.max() <= 2
-    # every step moves along an edge of the path
-    steps = np.abs(np.diff(positions))
-    assert np.all(steps == 1)
-    again = single_walk(g, 1000, seed=12)
-    assert np.array_equal(holds, again[0]) and np.array_equal(positions, again[1])

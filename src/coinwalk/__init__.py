@@ -72,11 +72,9 @@ from .moments import (
 )
 from .walk_sim import (
     CoincidenceResult,
-    MCEstimate,
     ReplicateBatch,
     SimConfig,
     Theorem1Check,
-    estimate_tau,
     simulate_batch,
     simulate_pair,
     verify_theorem1,
@@ -138,11 +136,9 @@ __all__ = [
     "SimConfig",
     "CoincidenceResult",
     "ReplicateBatch",
-    "MCEstimate",
     "Theorem1Check",
     "simulate_pair",
     "simulate_batch",
-    "estimate_tau",
     "verify_theorem1",
     "__version__",
 ]

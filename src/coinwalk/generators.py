@@ -30,11 +30,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .graph_core import Graph, _check_vertex_count, _csr_from_half_edges, is_connected
+from .graph_core import (DeferredGraph, Graph, _check_vertex_count, _csr_from_half_edges,
+                         is_connected)
 from .rng import Stream, derive_seed
 
 #: Most geometric gaps the pair sampler draws at once; bounds its memory.
@@ -215,13 +216,16 @@ def gen_complete(n: int) -> Graph:
     _check_vertex_count(n)
     if n < 2:
         raise ValueError("complete graph needs at least 2 vertices")
+    offsets = np.arange(0, n * (n - 1) + 1, n - 1, dtype=np.int64)
+    offsets.setflags(write=False)
+    return DeferredGraph(n, offsets, partial(_complete_neighbors, n))
+
+
+def _complete_neighbors(n: int) -> np.ndarray:
+    """Row v of K_n's adjacency: 0..n-1 without v, flattened."""
     cols = np.arange(n - 1, dtype=np.int32)
     rows = np.arange(n, dtype=np.int32)[:, None]
-    neighbors = (cols + (cols >= rows)).ravel()
-    offsets = np.arange(0, n * (n - 1) + 1, n - 1, dtype=np.int64)
-    neighbors.setflags(write=False)
-    offsets.setflags(write=False)
-    return Graph(n=n, offsets=offsets, neighbors=neighbors)
+    return (cols + (cols >= rows)).ravel()
 
 
 def gen_circulant(n: int, k: int) -> Graph:

@@ -23,9 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-#: Largest supported vertex count; keeps every integer total (D, sum of
-#: squared degrees) representable without surprise even on the fallback
-#: paths, and bounds memory to something a workstation can hold.
+#: Largest supported vertex count; keeps vertex ids in int32 and the CSR
+#: sort keys in int64, and bounds memory to something a workstation can hold.
 MAX_VERTICES = 10**7
 
 
@@ -96,6 +95,25 @@ class Graph:
 
     def __hash__(self) -> int:  # consistent with equality on small graphs
         return hash((self.n, self.neighbors.tobytes(), self.offsets.tobytes()))
+
+
+class DeferredGraph(Graph):
+    """A Graph whose ``neighbors`` array is built on first access.
+
+    Deterministic families know their offsets without listing neighbors, and
+    the degree analytics read only ``offsets``; the n(n-1) neighbor ids of
+    K_n are written only when a walker, a validator or an edge dump asks.
+    ``build`` returns the int32 array that ``neighbors`` would hold.
+    """
+
+    def __init__(self, n: int, offsets: np.ndarray, build) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "_build", build)
+
+    @cached_property
+    def neighbors(self) -> np.ndarray:
+        return _freeze(self._build())
 
 
 @dataclass(frozen=True)
@@ -235,20 +253,17 @@ def stationary_distribution(g: Graph) -> StationaryDistribution:
 def degree_statistics(g: Graph) -> DegreeStatistics:
     """Exact degree aggregates D, D2 and the sum of squared degrees.
 
-    Sums are taken in 64-bit integers when the worst-case bound
-    n * max_degree^2 fits, else in arbitrary-precision Python integers, so
-    results are exact for every supported graph.
+    Sums are taken in 64-bit integers, which is exact because the sum of
+    squared degrees is at most D * max_degree.  A graph for which that bound
+    reaches 2^63 (more than 9e11 half-edges) raises OverflowError.
     """
     degs = g.degrees
     total = g.total_degree
     max_deg = int(degs.max()) if g.n else 0
-    if g.n * max_deg * max_deg < 2**62:
-        sum_sq = int(np.dot(degs, degs))
-        d2 = int(np.dot(degs, degs - 1))
-    else:
-        sum_sq = sum(int(d) ** 2 for d in degs)
-        d2 = sum_sq - total
-    return DegreeStatistics(D=total, D2=d2, sum_deg_sq=sum_sq)
+    if total * max_deg >= 2**63:
+        raise OverflowError("sum of squared degrees may exceed 64-bit integers")
+    sum_sq = int(np.dot(degs, degs))
+    return DegreeStatistics(D=total, D2=sum_sq - total, sum_deg_sq=sum_sq)
 
 
 def theorem1_bounds(g: Graph, t_horizon: float, beta: float) -> Theorem1Bounds:
@@ -289,8 +304,11 @@ def is_connected(g: Graph) -> bool:
             break
         starts = offs[frontier]
         cand = nbrs[_slice_gather(starts, counts, total)]
-        cand = np.unique(cand)
-        new = cand[~visited[cand]]
+        # sorted candidates drop their repeats; np.unique would hash them
+        cand = np.sort(cand[~visited[cand]])
+        first = np.ones(cand.size, dtype=bool)
+        np.not_equal(cand[1:], cand[:-1], out=first[1:])
+        new = cand[first]
         visited[new] = True
         reached += new.size
         frontier = new
@@ -299,7 +317,7 @@ def is_connected(g: Graph) -> bool:
 
 def _slice_gather(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
     """Flat indices covering [starts[i], starts[i]+counts[i]) for all i."""
-    out = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
+    out = np.repeat(starts + counts - np.cumsum(counts), counts)
     return out + np.arange(total, dtype=np.int64)
 
 

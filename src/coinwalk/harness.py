@@ -441,7 +441,7 @@ def _run_point(spec: ExperimentSpec, index: int, point: dict[str, Any]) -> Resul
             if spec.kind == "simulate":
                 cfg = SimConfig(master_seed=derive_seed(point_seed, 1), **spec.sim)
                 check = verify_theorem1(g, cfg)
-                fill_row(row, cfg, check.mc, check)
+                fill_row(row, cfg, check)
         elif spec.kind == "ensemble":
             fill_row(row, ensemble_estimate(gen, spec.ensemble_replicates, seed=gen.seed))
         else:

@@ -10,21 +10,25 @@ to the horizon, and the infection probability is 1 - exp(-beta * tau).
 The simulation runs on the merged event process: with two independent
 rate-1 clocks, events arrive at rate 2 and a fair coin decides which
 walker jumps.  Coincidence accrues between events, where positions are
-constant.
+constant.  Both engines keep the walkers' positions, streams and jump
+counts as pairs indexed by the mover (0 for X, 1 for Y), so an event
+touches only the mover's entries.
 
-Every replicate owns three derived streams -- event stream (holding
-times and coins), one stream per walker (initial vertex and jump
-targets) -- so replacing one walker's stream leaves the other walker's
-trajectory bit-identical.  ``simulate_pair`` is the scalar reference;
-``simulate_batch`` runs many replicates in vectorized lockstep and
-produces bit-identical results replicate for replicate, for any chunk
-size (both paths evaluate the same numpy kernels on the same draws).
+Draw order: every replicate owns three derived streams, one for events
+and one per walker.  Each walker first draws its initial vertex from its
+own stream; each event then draws a holding time from the event stream
+and, unless the horizon was crossed, a coin (below 1/2 moves X) and then
+the destination from the mover's own stream.  So replacing one walker's
+stream leaves the other walker's trajectory bit-identical.
+``simulate_pair`` is the scalar reference; ``simulate_batch`` runs many
+replicates in vectorized lockstep and produces bit-identical results
+replicate for replicate, for any chunk size (both paths evaluate the
+same numpy kernels on the same draws).
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +37,11 @@ from .graph_core import Graph, theorem1_bounds
 from .rng import (GAMMA_U64, Stream, derive_child_seeds, derive_seed,
                   derive_seeds, mix64_vec, uniform_from_u64)
 
-_U64_ZERO = np.uint64(0)
+#: Replicates that ``simulate_batch`` advances in lockstep at a time.  It
+#: bounds the engine's working memory; results do not depend on it.
+CHUNK_SIZE = 1 << 15
+
+_TOP_BIT = np.uint64(63)
 
 
 @dataclass(frozen=True)
@@ -44,7 +52,6 @@ class SimConfig:
     beta: float = 0.0
     replicates: int = 1
     master_seed: int = 0
-    chunk_size: int = 1 << 15
 
     def __post_init__(self):
         if not (math.isfinite(self.t_horizon) and self.t_horizon >= 0):
@@ -53,8 +60,6 @@ class SimConfig:
             raise ValueError("beta must be finite and non-negative")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
 
@@ -81,9 +86,6 @@ class ReplicateBatch:
     jumps_y: np.ndarray
     final_x: np.ndarray
     final_y: np.ndarray
-    master_seed: int
-    t_horizon: float
-    beta: float
 
     @property
     def replicates(self) -> int:
@@ -91,28 +93,19 @@ class ReplicateBatch:
 
 
 @dataclass(frozen=True)
-class MCEstimate:
-    """Monte Carlo means with standard errors (ddof = 1)."""
+class Theorem1Check:
+    """Monte Carlo estimates side by side with the closed-form predictions.
+
+    Standard errors use ddof = 1.  ``tau_z_score`` is |mean_tau -
+    predicted| in standard-error units; ``jensen_satisfied`` records
+    whether the mean infection probability stayed at or below its upper
+    bound, with a 3-standard-error allowance for Monte Carlo noise.
+    """
 
     mean_tau: float
     stderr_tau: float
     mean_infection_prob: float
     stderr_infection_prob: float
-    replicates: int
-    elapsed_wall_time: float
-
-
-@dataclass(frozen=True)
-class Theorem1Check:
-    """Monte Carlo estimates side by side with the closed-form predictions.
-
-    ``tau_z_score`` is |mean_tau - predicted| in standard-error units;
-    ``jensen_satisfied`` records whether the mean infection probability
-    stayed at or below its upper bound, with a 3-standard-error allowance
-    for Monte Carlo noise.
-    """
-
-    mc: MCEstimate
     predicted_tau: float
     gamma_upper: float
     tau_z_score: float
@@ -129,10 +122,7 @@ def simulate_pair(g: Graph, t_horizon: float, beta: float, seed: int) -> Coincid
     """Run one replicate event by event (scalar reference path).
 
     The replicate's three streams are derived as (seed, 0) for events,
-    (seed, 1) for walker X and (seed, 2) for walker Y.  Each event draws a
-    holding time from the event stream; the coincidence integral advances;
-    if the horizon was not crossed, a coin from the event stream picks the
-    mover and the mover's own stream picks the destination.  All float
+    (seed, 1) for walker X and (seed, 2) for walker Y.  All float
     arithmetic goes through the same numpy scalar kernels the batch path
     uses, so results match ``simulate_batch`` bit for bit.
     """
@@ -158,154 +148,113 @@ def _simulate_streams(g: Graph, t_horizon: float, beta: float,
             infection_prob=float(-np.expm1(-beta * t_horizon)),
             jumps_x=0, jumps_y=0, final_x=0, final_y=0)
     ev = Stream(ev_seed)
-    sx = Stream(x_seed)
-    sy = Stream(y_seed)
+    streams = (Stream(x_seed), Stream(y_seed))
     total = cum[-1]
-    x = int(np.searchsorted(cum, sx.uniform() * total, side="right"))
-    y = int(np.searchsorted(cum, sy.uniform() * total, side="right"))
-    offs, nbrs = g.offsets, g.neighbors
-    degs = g.degrees
+    pos = [int(np.searchsorted(cum, s.uniform() * total, side="right")) for s in streams]
+    jumps = [0, 0]
+    offs, nbrs, degs = g.offsets, g.neighbors, g.degrees
     t = 0.0
     tau = 0.0
-    jx = jy = 0
     while True:
         dt = -0.5 * float(np.log1p(-ev.uniform()))
         t_next = t + dt
-        if x == y:
+        if pos[0] == pos[1]:
             tau += min(t_next, t_horizon) - t
         if t_next >= t_horizon:
             break
         t = t_next
-        if ev.uniform() < 0.5:
-            deg = int(degs[x])
-            k = min(int(sx.uniform() * float(deg)), deg - 1)
-            x = int(nbrs[offs[x] + k])
-            jx += 1
-        else:
-            deg = int(degs[y])
-            k = min(int(sy.uniform() * float(deg)), deg - 1)
-            y = int(nbrs[offs[y] + k])
-            jy += 1
+        mover = int(ev.uniform() >= 0.5)
+        v = pos[mover]
+        deg = int(degs[v])
+        k = min(int(streams[mover].uniform() * float(deg)), deg - 1)
+        pos[mover] = int(nbrs[offs[v] + k])
+        jumps[mover] += 1
     return CoincidenceResult(
         tau=tau,
         infection_prob=float(-np.expm1(-beta * tau)),
-        jumps_x=jx, jumps_y=jy, final_x=x, final_y=y)
+        jumps_x=jumps[0], jumps_y=jumps[1], final_x=pos[0], final_y=pos[1])
 
 
-def _simulate_chunk(g: Graph, t_horizon: float, rep_seeds: np.ndarray,
-                    out: tuple[np.ndarray, ...], base: int) -> None:
+def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
+                    rep_seeds: np.ndarray, out: tuple[np.ndarray, ...], base: int) -> None:
     """Advance one chunk of replicates in lockstep until all cross the horizon.
 
-    State lives in flat arrays over live replicates; a lane that crosses
-    the horizon is written to the output slice and compacted away.  Stream
-    states advance by the splitmix64 increment only in lanes that actually
-    draw, which is what keeps every lane bit-identical to the scalar path.
+    Lane i's walker state is row i of the C-contiguous (lanes, 2) arrays
+    ``streams``, ``pos`` and ``jumps``, so flat index 2*i + mover names
+    the one entry an event changes.  A lane that crosses the horizon is
+    written to the output slice and compacted away.  Stream states advance
+    by the splitmix64 increment only where a lane actually draws, which is
+    what keeps every lane bit-identical to the scalar path.
     """
-    taus_out, jx_out, jy_out, fx_out, fy_out = out
-    size = rep_seeds.size
-    ev = derive_child_seeds(rep_seeds, 0)
-    sx = derive_child_seeds(rep_seeds, 1)
-    sy = derive_child_seeds(rep_seeds, 2)
-    cum = _stationary_cumsum(g)
+    taus_out, jumps_out, final_out = out
     total = cum[-1]
     offs, nbrs = g.offsets, g.neighbors
-    degs = g.degrees
-    degs_f = degs.astype(np.float64)
-    sx = sx + GAMMA_U64
-    x = np.searchsorted(cum, uniform_from_u64(mix64_vec(sx)) * total, side="right")
-    sy = sy + GAMMA_U64
-    y = np.searchsorted(cum, uniform_from_u64(mix64_vec(sy)) * total, side="right")
-    t = np.zeros(size)
-    tau = np.zeros(size)
-    jx = np.zeros(size, dtype=np.int64)
-    jy = np.zeros(size, dtype=np.int64)
-    idx = np.arange(size, dtype=np.int64)
-    while idx.size:
+    degs_f = g.degrees.astype(np.float64)
+    ev = derive_child_seeds(rep_seeds, 0)
+    streams = np.stack([derive_child_seeds(rep_seeds, 1),
+                        derive_child_seeds(rep_seeds, 2)], axis=1) + GAMMA_U64
+    pos = np.searchsorted(cum, uniform_from_u64(mix64_vec(streams)) * total, side="right")
+    jumps = np.zeros(pos.shape, dtype=np.int64)
+    t = np.zeros(rep_seeds.size)
+    tau = np.zeros(rep_seeds.size)
+    idx = np.arange(rep_seeds.size)
+    lanes2 = 2 * idx
+    while True:
         ev = ev + GAMMA_U64
         dt = -0.5 * np.log1p(-uniform_from_u64(mix64_vec(ev)))
         t_next = t + dt
-        tau = tau + np.where(x == y, np.minimum(t_next, t_horizon) - t, 0.0)
+        tau = tau + np.where(pos[:, 0] == pos[:, 1], np.minimum(t_next, t_horizon) - t, 0.0)
         crossed = t_next >= t_horizon
         if crossed.any():
-            done = idx[crossed]
-            taus_out[base + done] = tau[crossed]
-            jx_out[base + done] = jx[crossed]
-            jy_out[base + done] = jy[crossed]
-            fx_out[base + done] = x[crossed]
-            fy_out[base + done] = y[crossed]
+            done = base + idx[crossed]
+            taus_out[done] = tau[crossed]
+            jumps_out[done] = jumps[crossed]
+            final_out[done] = pos[crossed]
             keep = ~crossed
-            ev, sx, sy = ev[keep], sx[keep], sy[keep]
-            x, y, t, tau = x[keep], y[keep], t[keep], tau[keep]
-            jx, jy, idx, t_next = jx[keep], jy[keep], idx[keep], t_next[keep]
-            if not idx.size:
-                break
+            if not keep.any():
+                return
+            ev, streams, pos, jumps = ev[keep], streams[keep], pos[keep], jumps[keep]
+            idx, t_next, tau = idx[keep], t_next[keep], tau[keep]
+            lanes2 = lanes2[:idx.size]
         t = t_next
+        # Row selection keeps the (lanes, 2) arrays C-contiguous, so these
+        # reshapes are views and writes through them reach the state.
+        streams_f, pos_f, jumps_f = streams.reshape(-1), pos.reshape(-1), jumps.reshape(-1)
         ev = ev + GAMMA_U64
-        coin = uniform_from_u64(mix64_vec(ev)) < 0.5
-        sx = sx + np.where(coin, GAMMA_U64, _U64_ZERO)
-        ux = uniform_from_u64(mix64_vec(sx))
-        kx = np.minimum((ux * degs_f[x]).astype(np.int64), degs[x] - 1)
-        x = np.where(coin, nbrs[offs[x] + kx].astype(np.int64), x)
-        jx += coin
-        sy = sy + np.where(coin, _U64_ZERO, GAMMA_U64)
-        uy = uniform_from_u64(mix64_vec(sy))
-        ky = np.minimum((uy * degs_f[y]).astype(np.int64), degs[y] - 1)
-        y = np.where(coin, y, nbrs[offs[y] + ky].astype(np.int64))
-        jy += ~coin
+        # The coin's uniform is >= 1/2 (Y moves) exactly when its word's top bit is set.
+        flat = lanes2 + (mix64_vec(ev) >> _TOP_BIT).view(np.int64)
+        state = streams_f[flat] + GAMMA_U64
+        streams_f[flat] = state
+        v = pos_f[flat]
+        deg = degs_f[v]
+        k = np.minimum((uniform_from_u64(mix64_vec(state)) * deg).astype(np.int64),
+                       deg.astype(np.int64) - 1)
+        pos_f[flat] = nbrs[offs[v] + k]
+        jumps_f[flat] += 1
 
 
 def simulate_batch(g: Graph, cfg: SimConfig) -> ReplicateBatch:
     """Run cfg.replicates independent replicates (vectorized path).
 
     Replicate r uses the derived seed (master_seed, r), so the result for
-    each replicate is independent of chunk size and of how many
+    each replicate is independent of ``CHUNK_SIZE`` and of how many
     replicates run alongside it, and matches ``simulate_pair`` with that
     seed bit for bit.
     """
-    if g.total_degree == 0:
-        raise ValueError("graph has no edges")
+    cum = _stationary_cumsum(g)
     n_rep = cfg.replicates
-    taus = np.empty(n_rep)
-    jumps_x = np.empty(n_rep, dtype=np.int64)
-    jumps_y = np.empty(n_rep, dtype=np.int64)
-    final_x = np.empty(n_rep, dtype=np.int64)
-    final_y = np.empty(n_rep, dtype=np.int64)
-    if g.n == 1:
-        taus.fill(cfg.t_horizon)
-        jumps_x.fill(0)
-        jumps_y.fill(0)
-        final_x.fill(0)
-        final_y.fill(0)
-    else:
+    taus = np.full(n_rep, float(cfg.t_horizon))
+    jumps = np.zeros((n_rep, 2), dtype=np.int64)
+    final = np.zeros((n_rep, 2), dtype=np.int64)
+    if g.n > 1:
         rep_seeds = derive_seeds(cfg.master_seed, np.arange(n_rep, dtype=np.uint64))
-        out = (taus, jumps_x, jumps_y, final_x, final_y)
-        for base in range(0, n_rep, cfg.chunk_size):
-            chunk = rep_seeds[base:base + cfg.chunk_size]
-            _simulate_chunk(g, cfg.t_horizon, chunk, out, base)
-    infection = -np.expm1(-cfg.beta * taus)
+        for base in range(0, n_rep, CHUNK_SIZE):
+            _simulate_chunk(g, cum, cfg.t_horizon, rep_seeds[base:base + CHUNK_SIZE],
+                            (taus, jumps, final), base)
     return ReplicateBatch(
-        taus=taus, infection_probs=infection,
-        jumps_x=jumps_x, jumps_y=jumps_y,
-        final_x=final_x, final_y=final_y,
-        master_seed=cfg.master_seed, t_horizon=cfg.t_horizon, beta=cfg.beta)
-
-
-def estimate_tau(g: Graph, cfg: SimConfig) -> MCEstimate:
-    """Monte Carlo mean of tau and of the infection probability."""
-    if cfg.replicates < 2:
-        raise ValueError("need at least 2 replicates for a standard error")
-    start = time.perf_counter()
-    batch = simulate_batch(g, cfg)
-    elapsed = time.perf_counter() - start
-    root = math.sqrt(cfg.replicates)
-    return MCEstimate(
-        mean_tau=float(batch.taus.mean()),
-        stderr_tau=float(batch.taus.std(ddof=1)) / root,
-        mean_infection_prob=float(batch.infection_probs.mean()),
-        stderr_infection_prob=float(batch.infection_probs.std(ddof=1)) / root,
-        replicates=cfg.replicates,
-        elapsed_wall_time=elapsed,
-    )
+        taus=taus, infection_probs=-np.expm1(-cfg.beta * taus),
+        jumps_x=jumps[:, 0], jumps_y=jumps[:, 1],
+        final_x=final[:, 0], final_y=final[:, 1])
 
 
 def verify_theorem1(g: Graph, cfg: SimConfig) -> Theorem1Check:
@@ -315,17 +264,26 @@ def verify_theorem1(g: Graph, cfg: SimConfig) -> Theorem1Check:
     probability is checked against its concavity (upper-bound) prediction
     1 - exp(-beta * t * sum(pi_v^2)).
     """
-    mc = estimate_tau(g, cfg)
+    if cfg.replicates < 2:
+        raise ValueError("need at least 2 replicates for a standard error")
+    batch = simulate_batch(g, cfg)
     bounds = theorem1_bounds(g, cfg.t_horizon, cfg.beta)
-    if mc.stderr_tau > 0:
-        z = abs(mc.mean_tau - bounds.expected_tau) / mc.stderr_tau
+    root = math.sqrt(cfg.replicates)
+    mean_tau = float(batch.taus.mean())
+    stderr_tau = float(batch.taus.std(ddof=1)) / root
+    mean_infection = float(batch.infection_probs.mean())
+    stderr_infection = float(batch.infection_probs.std(ddof=1)) / root
+    if stderr_tau > 0:
+        z = abs(mean_tau - bounds.expected_tau) / stderr_tau
     else:
-        z = 0.0 if mc.mean_tau == bounds.expected_tau else math.inf
-    allowance = 3.0 * mc.stderr_infection_prob
+        z = 0.0 if mean_tau == bounds.expected_tau else math.inf
     return Theorem1Check(
-        mc=mc,
+        mean_tau=mean_tau,
+        stderr_tau=stderr_tau,
+        mean_infection_prob=mean_infection,
+        stderr_infection_prob=stderr_infection,
         predicted_tau=bounds.expected_tau,
         gamma_upper=bounds.gamma_upper,
         tau_z_score=z,
-        jensen_satisfied=bool(mc.mean_infection_prob <= bounds.gamma_upper + allowance),
+        jensen_satisfied=bool(mean_infection <= bounds.gamma_upper + 3.0 * stderr_infection),
     )

@@ -3,20 +3,21 @@
 Each test prints exactly one PASS line (with the measured numbers) when its
 criterion holds; a failure shows up as an ordinary pytest failure.  Seeds
 are frozen so every run checks the same realizations; tolerances are stated
-inline.  Ten criteria:
+inline.  Eleven criteria:
 
  1. exact stationary identities on regular families;
  2. mean coincidence time matches t * sum(pi^2) on four small graphs;
  3. the concavity upper bound on mean infection probability holds;
- 4. uniform-weight closed forms and the G(n, p)-style ensemble agree;
- 5. small expected-degree ensemble matches exact moments and the
+ 4. the sample variance of tau matches the exact spectral Var(tau(t));
+ 5. uniform-weight closed forms and the G(n, p)-style ensemble agree;
+ 6. small expected-degree ensemble matches exact moments and the
     variance bound;
- 6. closed-form Var(D) tracks 2W for power-law weights at m = sqrt(n*d);
- 7. relative D2 concentration tightens as n grows;
- 8. the meeting-rate ratio n * sum(pi^2) shows the predicted phase
+ 7. closed-form Var(D) tracks 2W for power-law weights at m = sqrt(n*d);
+ 8. relative D2 concentration tightens as n grows;
+ 9. the meeting-rate ratio n * sum(pi^2) shows the predicted phase
     behavior in the power-law exponent;
- 9. walker micro-properties (jump counts, occupancy);
-10. byte-identical output across repeated runs and worker counts.
+10. walker micro-properties (jump counts, occupancy);
+11. byte-identical output across repeated runs and worker counts.
 """
 
 import json
@@ -144,6 +145,56 @@ def test_infection_probability_concavity_bound():
             margins.append(upper + 3.0 * stderr - mean)
     report("infection bound",
            f"8 graph/beta combinations, min slack {min(margins):.2e}")
+
+
+def exact_tau_variance(g, t_horizon):
+    """Var(tau(t)) for two independent stationary rate-1 walkers on g.
+
+    Cov(1{X_0=Y_0}, 1{X_r=Y_r}) = sum_{v,w} pi_v^2 P_r(v,w)^2 - (sum pi^2)^2
+    (Aldous & Fill, ch. 3), and Var(tau(t)) = 2 int_0^t (t - r) Cov(r) dr.
+    With S = D^{-1/2} A D^{-1/2} - I = U diag(lam) U^T and
+    M = U^T diag(pi) U, the first term is sum_{k,l} M_kl^2 exp(-a_kl r) with
+    a_kl = -(lam_k + lam_l) >= 0, which integrates in closed form.
+    """
+    rows = np.repeat(np.arange(g.n), g.degrees)
+    adj = np.zeros((g.n, g.n))
+    np.add.at(adj, (rows, g.neighbors), 1.0)
+    deg = g.degrees.astype(np.float64)
+    pi = deg / deg.sum()
+    lam, u = np.linalg.eigh(adj / np.sqrt(np.outer(deg, deg)) - np.eye(g.n))
+    m = u.T @ (pi[:, None] * u)
+    a = np.maximum(-(lam[:, None] + lam[None, :]), 0.0)
+    at = a * t_horizon
+    small = at < 1e-8  # a = 0 up to rounding: the integral is t^2 / 2
+    a_safe = np.where(small, 1.0, a)
+    integral = np.where(small, t_horizon**2 / 2 - a * t_horizon**3 / 6,
+                        (at + np.expm1(-at)) / a_safe**2)
+    return 2.0 * float(np.sum(m**2 * integral)) - (t_horizon * float(pi @ pi))**2
+
+
+def test_variance_of_tau_matches_exact_spectral_value():
+    """Sample variance of tau is within 4 SE of the exact Var(tau(t)).
+
+    E[tau] = t * sum(pi^2) holds even for walkers that never move, so the
+    mean checks cannot see the jump dynamics; the variance depends on the
+    walk's rate and its transition kernel.  SE of the sample variance is
+    sqrt((m4 - s^4) / N) with m4 the fourth central sample moment.
+    """
+    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    # numerical quadrature of 2 int_0^t (t - r) Cov(r) dr gives the same value
+    assert exact_tau_variance(star, 15.0) == pytest.approx(2.4305555555555, rel=1e-9)
+    zs = []
+    for name, build, t_horizon in MC_CASES:
+        taus = mc_batch(name).taus
+        exact = exact_tau_variance(build(), t_horizon)
+        dev = taus - taus.mean()
+        s2 = float(dev.var(ddof=1))
+        se = math.sqrt((float(np.mean(dev**4)) - s2**2) / MC_REPLICATES)
+        z = (s2 - exact) / se
+        zs.append((name, z))
+        assert abs(z) <= 4.0, (name, s2, exact, se)
+    detail = ", ".join(f"{name} z={z:+.2f}" for name, z in zs)
+    report("coincidence variance", f"{detail} (1e5 replicates)")
 
 
 def test_uniform_weight_closed_forms_and_ensemble():

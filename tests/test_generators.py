@@ -29,7 +29,7 @@ from coinwalk.generators import (
     uniform_weights,
     weights_for,
 )
-from coinwalk.graph_core import degree_statistics, is_connected, validate_graph
+from coinwalk.graph_core import build_graph, degree_statistics, is_connected, validate_graph
 from coinwalk.rng import derive_seed
 
 
@@ -44,6 +44,12 @@ def test_complete_graph():
         assert np.all(g.degrees == n - 1)
         assert g.edge_count == n * (n - 1) // 2
         assert g.self_loop_count == 0
+    # the neighbor array is built on first access and equals the eager one
+    g = gen_complete(6)
+    assert "neighbors" not in vars(g)
+    pairs = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    assert g == build_graph(6, pairs)
+    assert not g.neighbors.flags.writeable
     with pytest.raises(ValueError):
         gen_complete(1)
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from coinwalk.generators import gen_circulant
 from coinwalk.graph_core import (
     Graph,
     build_graph,
@@ -114,8 +115,8 @@ def test_degree_statistics_identity():
         )
 
 
-def test_degree_statistics_big_integer_fallback():
-    # one huge star forces the exact big-int path: n * max_deg^2 >= 2^62
+def test_degree_statistics_exact_in_int64_on_huge_star():
+    # n * max_deg^2 >= 2^62, but the sum of squares is at most D * max_deg < 2^63
     n = 3_000_000
     hub_deg = n - 1
     offsets = np.zeros(n + 1, dtype=np.int64)
@@ -129,6 +130,11 @@ def test_degree_statistics_big_integer_fallback():
     assert st.D == 2 * hub_deg
     assert st.sum_deg_sq == hub_deg**2 + hub_deg
     assert st.D2 == st.sum_deg_sq - st.D
+    # degrees come from offsets alone; the squares sum to 2^63, which int64 wraps
+    huge = Graph(n=2, offsets=np.array([0, 2**31, 2**32], dtype=np.int64),
+                 neighbors=np.zeros(0, dtype=np.int32))
+    with pytest.raises(OverflowError):
+        degree_statistics(huge)
 
 
 def test_theorem1_bounds_star3():
@@ -148,6 +154,10 @@ def test_is_connected():
     assert not is_connected(build_graph(3, [(0, 1)]))
     # a self-loop does not connect an isolated vertex
     assert not is_connected(build_graph(3, [(0, 1), (2, 2)], allow_self_loops=True))
+    # high diameter; the two BFS arms reach the antipode in the same frontier
+    assert is_connected(gen_circulant(20000, 1))
+    ring = [(i, (i + 1) % 1000) for i in range(1000)]
+    assert not is_connected(build_graph(2000, ring + [(u + 1000, v + 1000) for u, v in ring]))
 
 
 def test_edge_list_round_trip(tmp_path):

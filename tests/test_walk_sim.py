@@ -3,7 +3,7 @@
 The load-bearing property is bit-level agreement between the scalar
 reference engine and the vectorized batch engine: replicate r of a batch
 must equal simulate_pair run on the derived seed (master_seed, r), exactly,
-for any chunk size.  Everything downstream (acceptance checks, sweeps)
+for any ``CHUNK_SIZE``.  Everything downstream (acceptance checks, sweeps)
 leans on that equivalence.
 """
 
@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from coinwalk import walk_sim
 from coinwalk.generators import gen_complete, gen_gnp
 from coinwalk.graph_core import build_graph
 from coinwalk.rng import derive_seed, derive_seeds
@@ -19,7 +20,6 @@ from coinwalk.walk_sim import (
     CoincidenceResult,
     SimConfig,
     _simulate_streams,
-    estimate_tau,
     simulate_batch,
     simulate_pair,
     verify_theorem1,
@@ -45,8 +45,6 @@ def test_sim_config_validation():
         SimConfig(t_horizon=1.0, beta=-0.5)
     with pytest.raises(ValueError, match="replicates"):
         SimConfig(t_horizon=1.0, replicates=0)
-    with pytest.raises(ValueError, match="chunk_size"):
-        SimConfig(t_horizon=1.0, chunk_size=0)
 
 
 def test_simulation_rejects_edgeless_graph():
@@ -132,13 +130,16 @@ def test_simulate_pair_seed_decomposition():
         (path3, 25.0),
         (star3, 8.0),
         (lambda: gen_gnp(40, 0.2, seed=77), 12.0),
+        # self-loops and two components
+        (lambda: build_graph(5, [(0, 0), (0, 1), (1, 2), (2, 2), (3, 4)],
+                             allow_self_loops=True), 15.0),
     ],
 )
-def test_batch_matches_scalar_bit_for_bit(graph_builder, t_horizon):
+def test_batch_matches_scalar_bit_for_bit(graph_builder, t_horizon, monkeypatch):
+    monkeypatch.setattr(walk_sim, "CHUNK_SIZE", 64)
     g = graph_builder()
     master = 2468
-    cfg = SimConfig(t_horizon=t_horizon, beta=0.7, replicates=300,
-                    master_seed=master, chunk_size=64)
+    cfg = SimConfig(t_horizon=t_horizon, beta=0.7, replicates=300, master_seed=master)
     batch = simulate_batch(g, cfg)
     rep_seeds = derive_seeds(master, np.arange(300))
     for r in (0, 1, 17, 100, 299):
@@ -154,12 +155,13 @@ def test_batch_matches_scalar_bit_for_bit(graph_builder, t_horizon):
         assert got == ref
 
 
-def test_batch_chunk_size_is_invisible():
+def test_batch_chunk_size_is_invisible(monkeypatch):
     g = gen_gnp(25, 0.3, seed=5)
-    a = simulate_batch(g, SimConfig(t_horizon=9.0, replicates=100, master_seed=42,
-                                    chunk_size=7))
-    b = simulate_batch(g, SimConfig(t_horizon=9.0, replicates=100, master_seed=42,
-                                    chunk_size=500))
+    cfg = SimConfig(t_horizon=9.0, replicates=100, master_seed=42)
+    monkeypatch.setattr(walk_sim, "CHUNK_SIZE", 7)
+    a = simulate_batch(g, cfg)
+    monkeypatch.setattr(walk_sim, "CHUNK_SIZE", 500)
+    b = simulate_batch(g, cfg)
     assert np.array_equal(a.taus, b.taus)
     assert np.array_equal(a.jumps_x, b.jumps_x)
     assert np.array_equal(a.jumps_y, b.jumps_y)
@@ -194,16 +196,15 @@ def test_infection_prob_matches_tau_transform():
 def test_estimate_tau_statistics():
     g = gen_complete(4)
     cfg = SimConfig(t_horizon=20.0, beta=0.2, replicates=400, master_seed=55)
-    est = estimate_tau(g, cfg)
+    check = verify_theorem1(g, cfg)
     batch = simulate_batch(g, cfg)
-    assert est.replicates == 400
-    assert est.mean_tau == pytest.approx(float(batch.taus.mean()), rel=1e-15)
-    assert est.stderr_tau == pytest.approx(
-        float(batch.taus.std(ddof=1)) / math.sqrt(400), rel=1e-12
-    )
-    assert est.elapsed_wall_time >= 0.0
+    root = math.sqrt(400)
+    assert check.mean_tau == float(batch.taus.mean())
+    assert check.stderr_tau == float(batch.taus.std(ddof=1)) / root
+    assert check.mean_infection_prob == float(batch.infection_probs.mean())
+    assert check.stderr_infection_prob == float(batch.infection_probs.std(ddof=1)) / root
     with pytest.raises(ValueError, match="at least 2"):
-        estimate_tau(g, SimConfig(t_horizon=1.0, replicates=1))
+        verify_theorem1(g, SimConfig(t_horizon=1.0, replicates=1))
 
 
 def test_verify_theorem1_on_k5():
@@ -213,8 +214,7 @@ def test_verify_theorem1_on_k5():
     assert check.predicted_tau == pytest.approx(10.0, rel=1e-12)  # t / n
     assert check.gamma_upper == pytest.approx(-math.expm1(-0.5 * 10.0), rel=1e-12)
     assert check.tau_z_score == pytest.approx(
-        abs(check.mc.mean_tau - 10.0) / check.mc.stderr_tau, rel=1e-12
+        abs(check.mean_tau - 10.0) / check.stderr_tau, rel=1e-12
     )
     assert check.tau_z_score < 4.0
     assert check.jensen_satisfied
-

@@ -3,7 +3,9 @@
 Deterministic families (complete, circulant) are built directly in CSR
 form.  Random families draw every bit of randomness from splitmix64
 streams derived from the caller's seed, so an identical spec (including
-seed) reproduces the identical edge set on any platform.
+seed) reproduces the identical edge set on any platform.  They hand their
+edges to ``graph_core`` as canonical pairs, whose adjacency is sorted only
+when something reads ``neighbors``.
 
 One exact sampler covers both independent-pair models, the expected-degree
 model where pair (u, v) appears with probability min(1, w_u * w_v / W)
@@ -28,6 +30,7 @@ each followed by one thinning uniform per candidate it produced.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -325,12 +328,15 @@ def _geometric_walk(size: int, p: float, stream: Stream):
         cursor = size if inside.size < chunk else int(pos[-1]) + 1
 
 
-def _independent_pairs(w: np.ndarray, total: float, loops: bool,
-                       stream: Stream) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs u <= v, each present independently w.p. min(1, w_u w_v / W).
+def _pair_sampler(w: np.ndarray, total: float, loops: bool):
+    """Plan the pair sampler for one weight sequence; return stream -> (u, v).
 
-    ``w`` must be non-increasing; pairs u == v are drawn only with
-    ``loops``.  The method and draw order are in the module docstring.
+    The returned callable draws pairs u <= v, each present independently
+    w.p. min(1, w_u w_v / W); ``w`` must be non-increasing, and pairs
+    u == v are drawn only with ``loops``.  The plan -- the class bounds and
+    each block's origin, size, envelope p and triangle bases -- depends on
+    the weights alone, so a sampler made once serves every seed.  The
+    method and draw order are in the module docstring.
     """
     n = w.size
     neg = -w
@@ -338,28 +344,69 @@ def _independent_pairs(w: np.ndarray, total: float, loops: bool,
     while bounds[-1] < n:
         bounds.append(int(np.searchsorted(neg, neg[bounds[-1]] / 2, side="right")))
     classes = list(zip(bounds, bounds[1:]))
-    us, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    blocks = []  # (u0, v0, size, p, width, bases): pair (u0 + i, v0 + j)
     for a, (a0, a1) in enumerate(classes):
         for b0, b1 in classes[a:]:
             p = min(1.0, w[a0] * w[b0] / total)
             if a0 == b0:
                 # with loops, pair (i, i) is (i, i + 1) of a strict triangle one wider
                 side = a1 - a0 + loops
-                size = side * (side - 1) // 2
-                bases = _triangle_bases(side)
+                blocks.append((a0, a0 - loops, side * (side - 1) // 2, p, None,
+                               _triangle_bases(side)))
             else:
-                size = (a1 - a0) * (b1 - b0)
+                blocks.append((a0, b0, (a1 - a0) * (b1 - b0), p, b1 - b0, None))
+
+    def sample(stream: Stream) -> tuple[np.ndarray, np.ndarray]:
+        us, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for u0, v0, size, p, width, bases in blocks:
             for linear in _geometric_walk(size, p, stream):
-                if a0 == b0:
-                    i, j = _pairs_from_linear(linear, bases)
-                    u, v = a0 + i, a0 + j - loops
+                if bases is None:
+                    i, j = np.divmod(linear, width)
                 else:
-                    u, v = a0 + linear // (b1 - b0), b0 + linear % (b1 - b0)
+                    i, j = _pairs_from_linear(linear, bases)
+                u, v = u0 + i, v0 + j
                 q = w[u] * w[v] / total  # exceeds p only where p is clamped at 1
                 keep = stream.uniforms(linear.size) < q / p
                 us.append(u[keep])
                 vs.append(v[keep])
-    return np.concatenate(us), np.concatenate(vs)
+        return np.concatenate(us), np.concatenate(vs)
+
+    return sample
+
+
+def _caller_stacklevel() -> int:
+    """``stacklevel`` that pins a warning on the first caller outside this module."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
+def _gnp_sampler(n: int, p: float, require_connected: bool, max_retries: int):
+    """Validate a G(n, p) request and plan its sampler once; return seed -> Graph."""
+    _check_vertex_count(n)
+    if not (0.0 <= p <= 1.0):
+        raise ValueError("p must lie in [0, 1]")
+    if require_connected and n > 1 and n * p < math.log(n):
+        warnings.warn(
+            f"n*p = {n * p:.3g} is below log(n) = {math.log(n):.3g}; "
+            "connected samples will be rare in this regime",
+            stacklevel=_caller_stacklevel(),
+        )
+    pairs = _pair_sampler(np.ones(n), 1.0 / p, False) if p > 0.0 else None
+
+    def draw(seed: int) -> Graph:
+        for attempt in range(max_retries):
+            stream = Stream(derive_seed(seed, attempt))
+            if pairs is None:
+                g = build_trivial(n)
+            else:
+                g = _csr_from_half_edges(n, *pairs(stream))
+            if not require_connected or is_connected(g):
+                return g
+        raise GenerationError(f"no connected G({n}, {p}) sample in {max_retries} attempts")
+
+    return draw
 
 
 def gen_gnp(n: int, p: float, seed: int, require_connected: bool = False,
@@ -370,29 +417,22 @@ def gen_gnp(n: int, p: float, seed: int, require_connected: bool = False,
     With ``require_connected`` the sample is regenerated from a fresh
     derived seed until connected, up to ``max_retries`` attempts.
     """
-    _check_vertex_count(n)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must lie in [0, 1]")
-    if require_connected and n > 1 and n * p < math.log(n):
-        warnings.warn(
-            f"n*p = {n * p:.3g} is below log(n) = {math.log(n):.3g}; "
-            "connected samples will be rare in this regime",
-            stacklevel=2,
-        )
-    for attempt in range(max_retries):
-        stream = Stream(derive_seed(seed, attempt))
-        if p <= 0.0:
-            g = build_trivial(n)
-        else:
-            g = _csr_from_half_edges(n, *_independent_pairs(np.ones(n), 1.0 / p, False, stream))
-        if not require_connected or is_connected(g):
-            return g
-    raise GenerationError(f"no connected G({n}, {p}) sample in {max_retries} attempts")
+    return _gnp_sampler(n, p, require_connected, max_retries)(seed)
 
 
 def build_trivial(n: int) -> Graph:
     """Edgeless graph on n vertices."""
     return _csr_from_half_edges(n, np.empty(0, np.int64), np.empty(0, np.int64))
+
+
+def _expected_degree_sampler(w: WeightSequence, allow_self_loops: bool, strict: bool):
+    """Validate the weights and plan their sampler once; return seed -> Graph."""
+    if strict and not w.probabilities_valid():
+        raise ValueError(
+            f"invalid pair probabilities: max weight squared {w.max_weight**2:.6g} "
+            f"exceeds total weight {w.total:.6g} (pass strict=False to clamp at 1)")
+    pairs = _pair_sampler(w.weights, w.total, allow_self_loops)
+    return lambda seed: _csr_from_half_edges(w.n, *pairs(Stream(derive_seed(seed, 0))))
 
 
 def gen_expected_degree(w: WeightSequence, seed: int, allow_self_loops: bool = True,
@@ -407,13 +447,7 @@ def gen_expected_degree(w: WeightSequence, seed: int, allow_self_loops: bool = T
     clamps each pair probability at 1 -- useful right at the m = sqrt(n*d)
     boundary, where finite-n weight sums fall a few percent short of n*d.
     """
-    if strict and not w.probabilities_valid():
-        raise ValueError(
-            f"invalid pair probabilities: max weight squared {w.max_weight**2:.6g} "
-            f"exceeds total weight {w.total:.6g} (pass strict=False to clamp at 1)")
-    stream = Stream(derive_seed(seed, 0))
-    u, v = _independent_pairs(w.weights, w.total, allow_self_loops, stream)
-    return _csr_from_half_edges(w.n, u, v)
+    return _expected_degree_sampler(w, allow_self_loops, strict)(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +502,10 @@ def weights_for(spec: GenSpec) -> WeightSequence:
 def sampler_for(spec: GenSpec):
     """Resolve a GenSpec to a seed -> Graph callable.
 
-    Family parameters are validated once, up front; the returned callable
-    applies connectivity conditioning when the spec asks for it (attempt a
-    uses the derived seed (s, a), giving up after ``max_retries``).
+    Family parameters are validated, and the pair sampler's class plan is
+    made, once, up front; the returned callable applies connectivity
+    conditioning when the spec asks for it (attempt a uses the derived
+    seed (s, a), giving up after ``max_retries``).
     Deterministic families ignore the seed.
     """
     if spec.family not in FAMILIES:
@@ -484,17 +519,14 @@ def sampler_for(spec: GenSpec):
             raise GenerationError(f"{spec.family} graph with n={spec.n} is not connected")
         return lambda s: g
     if spec.family == "gnp":
-        p = _require(spec, "p")
-        return lambda s: gen_gnp(spec.n, p, s,
-                                 require_connected=spec.require_connected,
-                                 max_retries=spec.max_retries)
+        return _gnp_sampler(spec.n, _require(spec, "p"), spec.require_connected,
+                            spec.max_retries)
     if spec.family == "random_regular":
         r = _require(spec, "r")
         draw = lambda s: gen_random_regular(spec.n, r, s)
     else:
-        w_seq = weights_for(spec)
-        draw = lambda s: gen_expected_degree(
-            w_seq, s, allow_self_loops=spec.allow_self_loops, strict=spec.strict)
+        draw = _expected_degree_sampler(weights_for(spec), spec.allow_self_loops,
+                                        spec.strict)
     if not spec.require_connected:
         return draw
 

@@ -7,6 +7,12 @@ in v's neighbor list and adds exactly 1 to v's degree.  Everything downstream
 (stationary distribution, degree statistics, walkers) uses that once-counted
 degree consistently.
 
+Graphs built from an edge list (``build_graph`` and the random families) and
+K_n are :class:`DeferredGraph` instances: their ``offsets`` are eager, and
+``neighbors`` is built on first read.  Degree analytics read only the
+offsets, so they never order the adjacency; a walker, a BFS, an equality
+test or a validator triggers the one build.
+
 A random walker on these graphs waits an Exp(1) holding time at each vertex
 and then jumps to a uniformly chosen neighbor; a self-loop is a real jump
 that lands back on the same vertex.  The stationary distribution of that
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -100,10 +106,13 @@ class Graph:
 class DeferredGraph(Graph):
     """A Graph whose ``neighbors`` array is built on first access.
 
-    Deterministic families know their offsets without listing neighbors, and
-    the degree analytics read only ``offsets``; the n(n-1) neighbor ids of
-    K_n are written only when a walker, a validator or an edge dump asks.
-    ``build`` returns the int32 array that ``neighbors`` would hold.
+    The offsets come from the degrees alone -- arithmetic for K_n, a
+    bincount of the edge pairs for a graph built from edges -- and the
+    degree analytics read only them.  ``build`` returns the int32 array
+    that ``neighbors`` holds; it runs once, on the first read by a walker,
+    a BFS, an equality test or a validator, and the graph then drops it
+    together with whatever it holds (the 16 bytes per edge of an edge
+    list).  The array is read-only and the same object on every read.
     """
 
     def __init__(self, n: int, offsets: np.ndarray, build) -> None:
@@ -113,7 +122,12 @@ class DeferredGraph(Graph):
 
     @cached_property
     def neighbors(self) -> np.ndarray:
-        return _freeze(self._build())
+        build = self._build
+        if build is None:  # a concurrent first read has finished the build
+            return self.__dict__["neighbors"]
+        nbrs = self.__dict__["neighbors"] = _freeze(build())
+        object.__setattr__(self, "_build", None)
+        return nbrs
 
 
 @dataclass(frozen=True)
@@ -176,11 +190,24 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _csr_from_half_edges(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+def _csr_from_half_edges(n: int, u: np.ndarray, v: np.ndarray) -> DeferredGraph:
     """Build a Graph from deduplicated canonical int64 edges (u <= v).
 
     Trusted internal constructor: callers guarantee bounds, canonical order
     and uniqueness.  Self-loops (u == v) produce a single adjacency entry.
+    The offsets are the cumulative degrees, one bincount of each endpoint
+    column; the adjacency is sorted by :func:`_sorted_neighbors` on the
+    first read of ``neighbors``.
+    """
+    degrees = np.bincount(u, minlength=n) + np.bincount(v[u != v], minlength=n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    return DeferredGraph(n, _freeze(offsets), partial(_sorted_neighbors, n, u, v))
+
+
+def _sorted_neighbors(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """CSR neighbor ids of canonical edges, strictly increasing within each row.
+
     Each half-edge s -> t becomes the key s * n + t, which fits in int64
     because n <= MAX_VERTICES; one sort of the keys orders the adjacency
     by row and, within a row, by neighbor.
@@ -188,9 +215,7 @@ def _csr_from_half_edges(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     off_diag = u != v
     key = np.concatenate([u * n + v, v[off_diag] * n + u[off_diag]])
     key.sort()
-    neighbors = (key % n).astype(np.int32)
-    offsets = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
-    return Graph(n=n, offsets=_freeze(offsets), neighbors=_freeze(neighbors))
+    return (key % n).astype(np.int32)
 
 
 def build_graph(n: int, edges, allow_self_loops: bool = False) -> Graph:

@@ -3,12 +3,13 @@
 Each test prints exactly one PASS line (with the measured numbers) when its
 criterion holds; a failure shows up as an ordinary pytest failure.  Seeds
 are frozen so every run checks the same realizations; tolerances are stated
-inline.  Eleven criteria:
+inline.  Twelve criteria:
 
  1. exact stationary identities on regular families;
  2. mean coincidence time matches t * sum(pi^2) on four small graphs;
  3. the concavity upper bound on mean infection probability holds;
  4. the sample variance of tau matches the exact spectral Var(tau(t));
+ 4b. the mean infection probability matches its exact Feynman-Kac value;
  5. uniform-weight closed forms and the G(n, p)-style ensemble agree;
  6. small expected-degree ensemble matches exact moments and the
     variance bound;
@@ -26,12 +27,14 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from coinwalk.cli import EXIT_OK, main
 from coinwalk.generators import (
     GenSpec,
     gen_circulant,
     gen_complete,
+    gen_gnp,
     gen_random_regular,
     power_law_weights,
     sampler_for,
@@ -98,6 +101,8 @@ MC_CASES = (
     ("P3", path3, 800.0),
     ("K_1_3", star3, 300.0),
 )
+# a connected G(12, 0.4) at t=50, for the exact variance and infection checks
+GNP_CASE = ("gnp12", lambda: gen_gnp(12, 0.4, seed=12, require_connected=True), 50.0)
 MC_REPLICATES = 10**5
 MC_MASTER_SEED = 20260817
 _MC_CACHE: dict[str, object] = {}
@@ -105,7 +110,7 @@ _MC_CACHE: dict[str, object] = {}
 
 def mc_batch(name):
     if name not in _MC_CACHE:
-        for label, build, t_horizon in MC_CASES:
+        for label, build, t_horizon in MC_CASES + (GNP_CASE,):
             if label == name:
                 cfg = SimConfig(t_horizon=t_horizon, replicates=MC_REPLICATES,
                                 master_seed=MC_MASTER_SEED)
@@ -147,6 +152,16 @@ def test_infection_probability_concavity_bound():
            f"8 graph/beta combinations, min slack {min(margins):.2e}")
 
 
+def symmetrized_generator(g):
+    """pi and S = D^{-1/2} A D^{-1/2} - I, the walk generator D^{-1} A - I
+    conjugated by D^{1/2}; S is symmetric because the walk is reversible."""
+    rows = np.repeat(np.arange(g.n), g.degrees)
+    adj = np.zeros((g.n, g.n))
+    np.add.at(adj, (rows, g.neighbors), 1.0)
+    deg = g.degrees.astype(np.float64)
+    return deg / deg.sum(), adj / np.sqrt(np.outer(deg, deg)) - np.eye(g.n)
+
+
 def exact_tau_variance(g, t_horizon):
     """Var(tau(t)) for two independent stationary rate-1 walkers on g.
 
@@ -156,12 +171,8 @@ def exact_tau_variance(g, t_horizon):
     M = U^T diag(pi) U, the first term is sum_{k,l} M_kl^2 exp(-a_kl r) with
     a_kl = -(lam_k + lam_l) >= 0, which integrates in closed form.
     """
-    rows = np.repeat(np.arange(g.n), g.degrees)
-    adj = np.zeros((g.n, g.n))
-    np.add.at(adj, (rows, g.neighbors), 1.0)
-    deg = g.degrees.astype(np.float64)
-    pi = deg / deg.sum()
-    lam, u = np.linalg.eigh(adj / np.sqrt(np.outer(deg, deg)) - np.eye(g.n))
+    pi, sym = symmetrized_generator(g)
+    lam, u = np.linalg.eigh(sym)
     m = u.T @ (pi[:, None] * u)
     a = np.maximum(-(lam[:, None] + lam[None, :]), 0.0)
     at = a * t_horizon
@@ -184,7 +195,7 @@ def test_variance_of_tau_matches_exact_spectral_value():
     # numerical quadrature of 2 int_0^t (t - r) Cov(r) dr gives the same value
     assert exact_tau_variance(star, 15.0) == pytest.approx(2.4305555555555, rel=1e-9)
     zs = []
-    for name, build, t_horizon in MC_CASES:
+    for name, build, t_horizon in MC_CASES + (GNP_CASE,):
         taus = mc_batch(name).taus
         exact = exact_tau_variance(build(), t_horizon)
         dev = taus - taus.mean()
@@ -195,6 +206,58 @@ def test_variance_of_tau_matches_exact_spectral_value():
         assert abs(z) <= 4.0, (name, s2, exact, se)
     detail = ", ".join(f"{name} z={z:+.2f}" for name, z in zs)
     report("coincidence variance", f"{detail} (1e5 replicates)")
+
+
+def exact_escape_transform(g, t_horizon, beta):
+    """E[exp(-beta tau(t))] for two independent stationary rate-1 walkers on g.
+
+    Feynman-Kac on the product chain (X, Y): with Q = D^{-1} A - I and
+    Delta = diag(1{x = y}), E[exp(-beta tau(t))] =
+    (pi x pi)^T exp(t (Q x I + I x Q - beta Delta)) 1.  Conjugating by
+    diag(sqrt(pi x pi)) turns the exponent into t H with the symmetric
+    H = S x I + I x S - beta Delta, so the value is sum_k (U^T s)_k^2
+    exp(t mu_k) over the eigenpairs (mu_k, U_k) of H, with s = sqrt(pi x pi).
+    """
+    pi, sym = symmetrized_generator(g)
+    eye = np.eye(g.n)
+    h = np.kron(sym, eye) + np.kron(eye, sym) - beta * np.diag(eye.ravel())
+    mu, u = np.linalg.eigh(h)
+    c = u.T @ np.sqrt(np.kron(pi, pi))
+    return float(c**2 @ np.exp(t_horizon * mu))
+
+
+def test_infection_probability_matches_exact_feynman_kac_value():
+    """Mean infection probability 1 - exp(-beta tau) is within 4 SE of its
+    exact value, at beta = 1 / (t sum(pi^2)), where it is mid-range.
+
+    The concavity bound alone holds for walkers that never move; the exact
+    Laplace transform depends on the holding rate and the jump kernel.
+    """
+    # on the star K_{1,3} the eigen-decomposition agrees with a direct matrix
+    # exponential of the product generator, and beta = 0 gives exactly 1
+    adj = np.zeros((4, 4))
+    adj[0, 1:] = adj[1:, 0] = 1.0
+    q = adj / adj.sum(axis=1, keepdims=True) - np.eye(4)
+    pi = np.array([3.0, 1.0, 1.0, 1.0]) / 6.0
+    gen = np.kron(q, np.eye(4)) + np.kron(np.eye(4), q) - 0.3 * np.diag(np.eye(4).ravel())
+    direct = float(np.kron(pi, pi) @ expm(15.0 * gen) @ np.ones(16))
+    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert exact_escape_transform(star, 15.0, 0.3) == pytest.approx(direct, rel=1e-10)
+    assert exact_escape_transform(star, 15.0, 0.0) == pytest.approx(1.0, rel=1e-12)
+    zs = []
+    for name, build, t_horizon in MC_CASES + (GNP_CASE,):
+        g = build()
+        beta = 1.0 / theorem1_bounds(g, t_horizon, 0.0).expected_tau
+        exact = 1.0 - exact_escape_transform(g, t_horizon, beta)
+        # Jensen's bound, strict because tau is not constant
+        assert exact < theorem1_bounds(g, t_horizon, beta).gamma_upper
+        infection = -np.expm1(-beta * mc_batch(name).taus)
+        se = float(infection.std(ddof=1)) / math.sqrt(MC_REPLICATES)
+        z = (float(infection.mean()) - exact) / se
+        zs.append((name, z, exact))
+        assert abs(z) <= 4.0, (name, float(infection.mean()), exact, se)
+    detail = ", ".join(f"{name} z={z:+.2f} (exact {exact:.5f})" for name, z, exact in zs)
+    report("infection probability", f"{detail} (1e5 replicates)")
 
 
 def test_uniform_weight_closed_forms_and_ensemble():

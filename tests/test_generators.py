@@ -224,6 +224,22 @@ def test_gnp_connectivity_conditioning():
             gen_gnp(30, 0.0, seed=5, require_connected=True, max_retries=3)
 
 
+def test_gnp_connectivity_warning_names_the_caller():
+    # the warning points at the code that asked for the graph, whichever
+    # route through the generators module it took
+    spec = GenSpec(family="gnp", n=30, p=0.0, require_connected=True, max_retries=2)
+    routes = (
+        lambda: generate(spec),
+        lambda: sampler_for(spec)(5),
+        lambda: gen_gnp(30, 0.0, seed=5, require_connected=True, max_retries=2),
+    )
+    for route in routes:
+        with pytest.warns(UserWarning, match="below log") as record:
+            with pytest.raises(GenerationError, match="2 attempts"):
+                route()
+        assert [r.filename for r in record] == [__file__]
+
+
 # ---------------------------------------------------------------------------
 # expected-degree model
 

@@ -1,11 +1,22 @@
 """Tests for the CSR graph container and its stationary analytics."""
 
+import json
 import math
+import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from coinwalk.generators import gen_circulant
+from coinwalk import generators
+from coinwalk.generators import (
+    gen_circulant,
+    gen_expected_degree,
+    gen_gnp,
+    gen_random_regular,
+    power_law_weights,
+)
 from coinwalk.graph_core import (
     Graph,
     build_graph,
@@ -17,6 +28,7 @@ from coinwalk.graph_core import (
     validate_graph,
     write_edge_list,
 )
+from coinwalk.harness import parse_spec, run_experiment
 
 
 def path3():
@@ -158,6 +170,15 @@ def test_is_connected():
     assert is_connected(gen_circulant(20000, 1))
     ring = [(i, (i + 1) % 1000) for i in range(1000)]
     assert not is_connected(build_graph(2000, ring + [(u + 1000, v + 1000) for u, v in ring]))
+    # long paths, one BFS level per vertex, against scipy's component count
+    n = 3000
+    path = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+    relabel = np.random.default_rng(5).permutation(n)
+    two_paths = np.concatenate([path[: n // 2 - 1], path[n // 2:]])
+    for edges, connected in ((path, True), (relabel[path], True), (two_paths, False)):
+        adj = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+        assert (connected_components(adj, directed=False)[0] == 1) is connected
+        assert is_connected(build_graph(n, edges)) is connected
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -194,3 +215,95 @@ def test_graph_equality_and_hash():
     assert hash(path3()) == hash(path3())
     assert path3() != star3()
     assert path3() != "not a graph"
+
+
+# ---------------------------------------------------------------------------
+# deferred adjacency
+
+
+def eager_csr(n, u, v):
+    """Offsets and neighbors of canonical edges by one sort of s * n + t keys."""
+    off_diag = u != v
+    key = np.sort(np.concatenate([u * n + v, v[off_diag] * n + u[off_diag]]))
+    return np.searchsorted(key, np.arange(n + 1) * n), (key % n).astype(np.int32)
+
+
+def assert_deferred_matches(g, n, u, v):
+    """g holds its offsets at once and builds neighbors, equal to eager_csr, on first read."""
+    offsets, neighbors = eager_csr(n, u, v)
+    degree_statistics(g)
+    assert "neighbors" not in vars(g)
+    assert np.array_equal(g.offsets, offsets)
+    assert g.neighbors.dtype == np.int32
+    assert np.array_equal(g.neighbors, neighbors)
+    assert not g.neighbors.flags.writeable
+    assert g.neighbors is g.neighbors
+    assert g._build is None
+
+
+def test_build_graph_defers_an_adjacency_equal_to_the_eager_sort():
+    rng = np.random.default_rng(11)
+    n = 60
+    edges = rng.integers(0, n, size=(400, 2))  # repeats, both orientations, loops
+    edges = np.concatenate([edges, edges[:50, ::-1]])
+    canon = sorted({(min(a, b), max(a, b)) for a, b in edges.tolist()})
+    u, v = np.array(canon, dtype=np.int64).T
+    assert np.any(u == v) and len(canon) < len(edges)
+    g = build_graph(n, edges, allow_self_loops=True)
+    assert_deferred_matches(g, n, u, v)
+    validate_graph(g)
+    assert g.self_loop_count == int(np.sum(u == v))
+    assert_deferred_matches(build_graph(5, []), 5, np.zeros(0, np.int64), np.zeros(0, np.int64))
+
+
+@pytest.fixture
+def handed_pairs(monkeypatch):
+    """Every (n, u, v, graph) the generators hand to graph_core, u and v copied.
+
+    A weak reference to the handed u tells whether anything still holds it.
+    """
+    calls = []
+    real = generators._csr_from_half_edges
+
+    def spy(n, u, v):
+        g = real(n, u, v)
+        calls.append((n, u.copy(), v.copy(), g, weakref.ref(u)))
+        return g
+
+    monkeypatch.setattr(generators, "_csr_from_half_edges", spy)
+    return calls
+
+
+@pytest.mark.parametrize("build, loops", [
+    (lambda: gen_gnp(300, 0.03, seed=4), False),
+    (lambda: gen_expected_degree(power_law_weights(2000, 2.5, 4.0, 60.0), seed=5), True),
+    (lambda: gen_expected_degree(power_law_weights(2000, 2.5, 4.0, 60.0), seed=5,
+                                 allow_self_loops=False), False),
+    # m = sqrt(n d) exceeds sqrt(W): the largest pair probabilities clamp at 1
+    (lambda: gen_expected_degree(power_law_weights(2000, 2.2, 5.0, 100.0), seed=6,
+                                 strict=False), True),
+    (lambda: gen_random_regular(500, 3, seed=7), False),
+], ids=["gnp", "expected_degree", "expected_degree_no_loops", "clamped", "random_regular"])
+def test_random_graphs_defer_an_adjacency_equal_to_the_eager_sort(handed_pairs, build, loops):
+    g = build()
+    n, u, v, handed, u_ref = handed_pairs[-1]
+    assert handed is g
+    key = u * n + v
+    assert np.all(u <= v) and np.all(np.diff(np.sort(key)) > 0)  # canonical and unique
+    assert np.any(u == v) == loops
+    assert u_ref() is not None  # the unbuilt graph holds its pairs
+    assert_deferred_matches(g, n, u, v)
+    assert u_ref() is None  # and drops them once neighbors is built
+
+
+def test_degree_rows_leave_the_adjacency_unbuilt(handed_pairs):
+    sweep = {"kind": "sweep", "seed": 3,
+             "sweep": {"n": 500, "gamma": [2.5, 3.5], "d": 4.0, "m": "sqrt_nd",
+                       "seeds_per_point": 2, "strict": False}}
+    ensemble = {"kind": "ensemble", "seed": 3, "ensemble": {"replicates": 3},
+                "graph": {"family": "gnp", "n": 100, "p": 0.05}}
+    for doc in (sweep, ensemble):
+        rows = run_experiment(parse_spec(json.dumps(doc)))
+        assert all(row.error is None for row in rows)
+    assert len(handed_pairs) == 4 + 3
+    assert all("neighbors" not in vars(g) for *_, g, _ in handed_pairs)

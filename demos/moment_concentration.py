@@ -8,7 +8,7 @@ the Chebyshev concentration estimate doing its job.
 
 import math
 
-from coinwalk.generators import GenSpec, uniform_weights
+from coinwalk.generators import GenSpec, uniform_weights, weights_for
 from coinwalk.moments import (
     chebyshev_relative,
     closed_form_moments,
@@ -47,7 +47,6 @@ def main():
             spec, cf, replicates, seed=12)
 
     spec = GenSpec(family="expected_degree", n=2000, gamma=3.0, d=5.0, m=60.0)
-    from coinwalk.generators import weights_for
     cf = closed_form_moments(weights_for(spec))
     compare("power-law weights, n = 2000, gamma = 3, d = 5, m = 60:",
             spec, cf, 2000, seed=13)

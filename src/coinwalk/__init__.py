@@ -4,8 +4,8 @@ The package splits into five layers:
 
 * :mod:`coinwalk.rng` -- counter-style splitmix64 streams with
   deterministic child-seed derivation;
-* :mod:`coinwalk.graph_core` -- immutable CSR graphs, degree statistics,
-  the stationary distribution and the coincidence-time predictions;
+* :mod:`coinwalk.graph_core` -- immutable CSR graphs, degree statistics
+  and the coincidence-time predictions;
 * :mod:`coinwalk.generators` -- graph families with reproducible seeding;
 * :mod:`coinwalk.moments` -- closed-form degree moments, asymptotic
   weight moments and scaling-regime prediction;
@@ -20,25 +20,19 @@ from .graph_core import (
     MAX_VERTICES,
     DegreeStatistics,
     Graph,
-    StationaryDistribution,
     Theorem1Bounds,
     build_graph,
     degree_statistics,
     is_connected,
-    read_edge_list,
-    stationary_distribution,
     theorem1_bounds,
     validate_graph,
-    write_edge_list,
 )
 from .rng import Stream, derive_seed, derive_seeds
 from .generators import (
     FAMILIES,
-    AssumptionReport,
     GenerationError,
     GenSpec,
     WeightSequence,
-    check_assumptions,
     gen_circulant,
     gen_complete,
     gen_expected_degree,
@@ -57,15 +51,12 @@ from .moments import (
     ClosedFormMoments,
     EnsembleStats,
     ScalingPrediction,
-    WeightMoments,
     asymptotic_wbar_k,
-    asymptotic_weight_moments,
     chebyshev_relative,
     closed_form_D,
     closed_form_D2,
     closed_form_moments,
     empirical_wbar_k,
-    empirical_weight_moments,
     ensemble_estimate,
     er_moments,
     predict_scaling,
@@ -85,28 +76,22 @@ __version__ = "0.1.0"
 __all__ = [
     "MAX_VERTICES",
     "Graph",
-    "StationaryDistribution",
     "DegreeStatistics",
     "Theorem1Bounds",
     "build_graph",
     "validate_graph",
-    "stationary_distribution",
     "degree_statistics",
     "theorem1_bounds",
     "is_connected",
-    "read_edge_list",
-    "write_edge_list",
     "Stream",
     "derive_seed",
     "derive_seeds",
     "FAMILIES",
     "WeightSequence",
-    "AssumptionReport",
     "GenSpec",
     "GenerationError",
     "uniform_weights",
     "power_law_weights",
-    "check_assumptions",
     "gen_complete",
     "gen_circulant",
     "gen_random_regular",
@@ -115,7 +100,6 @@ __all__ = [
     "generate",
     "sampler_for",
     "weights_for",
-    "WeightMoments",
     "ClosedFormMoments",
     "ScalingPrediction",
     "EnsembleStats",
@@ -124,8 +108,6 @@ __all__ = [
     "REGIME_BELOW_3",
     "empirical_wbar_k",
     "asymptotic_wbar_k",
-    "empirical_weight_moments",
-    "asymptotic_weight_moments",
     "closed_form_D",
     "closed_form_D2",
     "closed_form_moments",

@@ -1,11 +1,12 @@
 """Graph family generators with reproducible, splittable seeding.
 
-Deterministic families (complete, circulant) are built directly in CSR
-form.  Random families draw every bit of randomness from splitmix64
-streams derived from the caller's seed, so an identical spec (including
-seed) reproduces the identical edge set on any platform.  They hand their
-edges to ``graph_core`` as canonical pairs, whose adjacency is sorted only
-when something reads ``neighbors``.
+Deterministic families (complete, circulant) compute their CSR offsets
+by arithmetic and lay out their adjacency when something reads
+``neighbors``.  Random families draw every bit of randomness from
+splitmix64 streams derived from the caller's seed, so an identical spec
+(including seed) reproduces the identical edge set on any platform.  They
+hand their edges to ``graph_core`` as canonical pairs, whose adjacency is
+sorted only when something reads ``neighbors``.
 
 One exact sampler covers both independent-pair models, the expected-degree
 model where pair (u, v) appears with probability min(1, w_u * w_v / W)
@@ -37,12 +38,17 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .graph_core import (DeferredGraph, Graph, _check_vertex_count, _csr_from_half_edges,
-                         is_connected)
+from .graph_core import Graph, _check_vertex_count, _csr_from_half_edges, _freeze, is_connected
 from .rng import Stream, derive_seed
 
 #: Most geometric gaps the pair sampler draws at once; bounds its memory.
 _CHUNK = 1 << 16
+
+#: Samples drawn per graph before connectivity conditioning gives up.
+CONNECT_ATTEMPTS = 100
+
+#: Stub pairings a random regular graph tries before it gives up.
+PAIRING_ATTEMPTS = 1000
 
 
 class GenerationError(RuntimeError):
@@ -55,17 +61,9 @@ class GenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """A non-increasing positive expected-degree sequence.
-
-    Power-law sequences built by :func:`power_law_weights` carry their
-    construction parameters; uniform sequences leave them None.
-    """
+    """A non-increasing positive expected-degree sequence."""
 
     weights: np.ndarray
-    gamma: float | None = None
-    d: float | None = None
-    m: float | None = None
-    i0: float | None = None
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -126,88 +124,7 @@ def power_law_weights(n: int, gamma: float, d: float, m: float) -> WeightSequenc
     i0 = n * (d * (gamma - 2) / (m * (gamma - 1))) ** (gamma - 1)
     idx = np.arange(n, dtype=np.float64)
     w = m * (1.0 + idx / i0) ** (-1.0 / (gamma - 1.0))
-    return WeightSequence(weights=w, gamma=float(gamma), d=float(d), m=float(m), i0=float(i0))
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Pass/fail flags with measured slack for the power-law regime.
-
-    The asymptotic results assume: d bounded below by delta, d small
-    relative to m, m at most sqrt(n*d) (which also keeps every pair
-    probability at most 1), and m/d growing strictly slower than
-    n^(1/(gamma-1)).  ``log_m_over_log_n`` is a diagnostic only: it is the
-    exponent a such that m = n^a, for judging whether m grows as a power
-    of n.
-    """
-
-    n: int
-    gamma: float
-    d: float
-    m: float
-    delta: float
-    d_ge_delta: bool
-    d_slack: float
-    d_lt_m: bool
-    d_over_m: float
-    m_le_sqrt_nd: bool
-    m_slack: float
-    md_growth_ok: bool
-    md_growth_ratio: float
-    w_valid: bool
-    w_slack: float
-    log_m_over_log_n: float
-
-    @property
-    def hard_ok(self) -> bool:
-        """The two violations that make sampling itself invalid."""
-        return self.d_ge_delta and self.w_valid
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.d_ge_delta
-            and self.d_lt_m
-            and self.m_le_sqrt_nd
-            and self.md_growth_ok
-            and self.w_valid
-        )
-
-
-def check_assumptions(n: int, gamma: float, d: float, m: float,
-                      delta: float = 1.0) -> AssumptionReport:
-    """Report which power-law regime assumptions hold for these parameters.
-
-    Never raises: invalid combinations simply come back with failing flags
-    (W-dependent slack is NaN when the weight sequence cannot be built).
-    """
-    constructible = n >= 1 and gamma > 2 and 0 < d < m
-    if constructible:
-        total = power_law_weights(n, gamma, d, m).total
-        w_slack = total - m * m
-        w_valid = bool(w_slack >= 0)
-    else:
-        w_slack = math.nan
-        w_valid = False
-    sqrt_nd = math.sqrt(n * d) if n >= 1 and d > 0 else math.nan
-    if gamma > 2 and d > 0 and n > 1:
-        md_ratio = (m / d) / n ** (1.0 / (gamma - 1.0))
-    else:
-        md_ratio = math.nan
-    return AssumptionReport(
-        n=n, gamma=gamma, d=d, m=m, delta=delta,
-        d_ge_delta=bool(d >= delta),
-        d_slack=d - delta,
-        d_lt_m=bool(d < m),
-        d_over_m=d / m if m > 0 else math.nan,
-        m_le_sqrt_nd=bool(m <= sqrt_nd) if math.isfinite(sqrt_nd) else False,
-        m_slack=sqrt_nd - m if math.isfinite(sqrt_nd) else math.nan,
-        md_growth_ok=bool(md_ratio < 1) if math.isfinite(md_ratio) else False,
-        md_growth_ratio=md_ratio,
-        w_valid=w_valid,
-        w_slack=w_slack,
-        log_m_over_log_n=math.log(m) / math.log(n) if n > 1 and m > 0 else math.nan,
-    )
+    return WeightSequence(weights=w)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +137,7 @@ def gen_complete(n: int) -> Graph:
     if n < 2:
         raise ValueError("complete graph needs at least 2 vertices")
     offsets = np.arange(0, n * (n - 1) + 1, n - 1, dtype=np.int64)
-    offsets.setflags(write=False)
-    return DeferredGraph(n, offsets, partial(_complete_neighbors, n))
+    return Graph(n, _freeze(offsets), partial(_complete_neighbors, n), 0)
 
 
 def _complete_neighbors(n: int) -> np.ndarray:
@@ -242,27 +158,29 @@ def gen_circulant(n: int, k: int) -> Graph:
         raise ValueError("k must be at least 1")
     if n < 2 * k + 1:
         raise ValueError(f"circulant needs n >= 2k + 1, got n={n}, k={k}")
+    offsets = np.arange(0, n * 2 * k + 1, 2 * k, dtype=np.int64)
+    return Graph(n, _freeze(offsets), partial(_circulant_neighbors, n, k), 0)
+
+
+def _circulant_neighbors(n: int, k: int) -> np.ndarray:
+    """Row v of the circulant's adjacency: v +/- 1 ... v +/- k mod n, sorted, flattened."""
     shifts = np.concatenate([np.arange(-k, 0), np.arange(1, k + 1)]).astype(np.int64)
     mat = (np.arange(n, dtype=np.int64)[:, None] + shifts[None, :]) % n
     mat.sort(axis=1)
-    neighbors = mat.ravel().astype(np.int32)
-    offsets = np.arange(0, n * 2 * k + 1, 2 * k, dtype=np.int64)
-    neighbors.setflags(write=False)
-    offsets.setflags(write=False)
-    return Graph(n=n, offsets=offsets, neighbors=neighbors)
+    return mat.ravel().astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
 # random regular via stub pairing
 
 
-def gen_random_regular(n: int, r: int, seed: int, max_retries: int = 1000) -> Graph:
+def gen_random_regular(n: int, r: int, seed: int) -> Graph:
     """Random r-regular graph by pairing stubs, rejecting imperfect samples.
 
     Each attempt pairs the n*r vertex stubs uniformly at random and is
     rejected wholesale if it produced a self-loop or a duplicate edge, so
     accepted graphs are uniform over simple pairings.  Attempt a uses the
-    derived seed (seed, a).
+    derived seed (seed, a), giving up after ``PAIRING_ATTEMPTS``.
     """
     _check_vertex_count(n)
     if r < 1:
@@ -272,7 +190,7 @@ def gen_random_regular(n: int, r: int, seed: int, max_retries: int = 1000) -> Gr
     if (n * r) % 2 != 0:
         raise ValueError("n * r must be even for an r-regular graph")
     stubs = np.repeat(np.arange(n, dtype=np.int64), r)
-    for attempt in range(max_retries):
+    for attempt in range(PAIRING_ATTEMPTS):
         stream = Stream(derive_seed(seed, attempt))
         keys = stream.uniforms(n * r)
         perm = np.argsort(keys, kind="stable")
@@ -287,7 +205,7 @@ def gen_random_regular(n: int, r: int, seed: int, max_retries: int = 1000) -> Gr
             continue
         return _csr_from_half_edges(n, u, v)
     raise GenerationError(
-        f"no simple {r}-regular pairing of {n} vertices in {max_retries} attempts")
+        f"no simple {r}-regular pairing of {n} vertices in {PAIRING_ATTEMPTS} attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +300,7 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def _gnp_sampler(n: int, p: float, require_connected: bool, max_retries: int):
+def _gnp_sampler(n: int, p: float, require_connected: bool):
     """Validate a G(n, p) request and plan its sampler once; return seed -> Graph."""
     _check_vertex_count(n)
     if not (0.0 <= p <= 1.0):
@@ -393,36 +311,31 @@ def _gnp_sampler(n: int, p: float, require_connected: bool, max_retries: int):
             "connected samples will be rare in this regime",
             stacklevel=_caller_stacklevel(),
         )
-    pairs = _pair_sampler(np.ones(n), 1.0 / p, False) if p > 0.0 else None
+    if p > 0.0:
+        pairs = _pair_sampler(np.ones(n), 1.0 / p, False)
+    else:
+        empty = np.empty(0, np.int64)
+        pairs = lambda stream: (empty, empty)
 
     def draw(seed: int) -> Graph:
-        for attempt in range(max_retries):
-            stream = Stream(derive_seed(seed, attempt))
-            if pairs is None:
-                g = build_trivial(n)
-            else:
-                g = _csr_from_half_edges(n, *pairs(stream))
+        for attempt in range(CONNECT_ATTEMPTS):
+            g = _csr_from_half_edges(n, *pairs(Stream(derive_seed(seed, attempt))))
             if not require_connected or is_connected(g):
                 return g
-        raise GenerationError(f"no connected G({n}, {p}) sample in {max_retries} attempts")
+        raise GenerationError(
+            f"no connected G({n}, {p}) sample in {CONNECT_ATTEMPTS} attempts")
 
     return draw
 
 
-def gen_gnp(n: int, p: float, seed: int, require_connected: bool = False,
-            max_retries: int = 100) -> Graph:
+def gen_gnp(n: int, p: float, seed: int, require_connected: bool = False) -> Graph:
     """Uniform random graph: each of the C(n, 2) pairs is an edge w.p. p.
 
     This is the one-class, loop-free case of the expected-degree sampler.
     With ``require_connected`` the sample is regenerated from a fresh
-    derived seed until connected, up to ``max_retries`` attempts.
+    derived seed until connected, up to ``CONNECT_ATTEMPTS`` attempts.
     """
-    return _gnp_sampler(n, p, require_connected, max_retries)(seed)
-
-
-def build_trivial(n: int) -> Graph:
-    """Edgeless graph on n vertices."""
-    return _csr_from_half_edges(n, np.empty(0, np.int64), np.empty(0, np.int64))
+    return _gnp_sampler(n, p, require_connected)(seed)
 
 
 def _expected_degree_sampler(w: WeightSequence, allow_self_loops: bool, strict: bool):
@@ -476,7 +389,6 @@ class GenSpec:
     allow_self_loops: bool = True
     require_connected: bool = False
     strict: bool = True
-    max_retries: int = 100
 
 
 FAMILIES = ("complete", "circulant", "random_regular", "gnp", "expected_degree")
@@ -505,7 +417,7 @@ def sampler_for(spec: GenSpec):
     Family parameters are validated, and the pair sampler's class plan is
     made, once, up front; the returned callable applies connectivity
     conditioning when the spec asks for it (attempt a uses the derived
-    seed (s, a), giving up after ``max_retries``).
+    seed (s, a), giving up after ``CONNECT_ATTEMPTS``).
     Deterministic families ignore the seed.
     """
     if spec.family not in FAMILIES:
@@ -519,8 +431,7 @@ def sampler_for(spec: GenSpec):
             raise GenerationError(f"{spec.family} graph with n={spec.n} is not connected")
         return lambda s: g
     if spec.family == "gnp":
-        return _gnp_sampler(spec.n, _require(spec, "p"), spec.require_connected,
-                            spec.max_retries)
+        return _gnp_sampler(spec.n, _require(spec, "p"), spec.require_connected)
     if spec.family == "random_regular":
         r = _require(spec, "r")
         draw = lambda s: gen_random_regular(spec.n, r, s)
@@ -531,12 +442,12 @@ def sampler_for(spec: GenSpec):
         return draw
 
     def conditioned(s: int) -> Graph:
-        for attempt in range(spec.max_retries):
+        for attempt in range(CONNECT_ATTEMPTS):
             g = draw(derive_seed(s, attempt))
             if is_connected(g):
                 return g
         raise GenerationError(
-            f"no connected {spec.family} sample in {spec.max_retries} attempts")
+            f"no connected {spec.family} sample in {CONNECT_ATTEMPTS} attempts")
 
     return conditioned
 

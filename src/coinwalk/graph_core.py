@@ -7,11 +7,10 @@ in v's neighbor list and adds exactly 1 to v's degree.  Everything downstream
 (stationary distribution, degree statistics, walkers) uses that once-counted
 degree consistently.
 
-Graphs built from an edge list (``build_graph`` and the random families) and
-K_n are :class:`DeferredGraph` instances: their ``offsets`` are eager, and
-``neighbors`` is built on first read.  Degree analytics read only the
-offsets, so they never order the adjacency; a walker, a BFS, an equality
-test or a validator triggers the one build.
+Every graph holds its ``offsets`` eagerly and builds ``neighbors`` on first
+read.  Degree analytics read only the offsets, so they never order the
+adjacency; a walker, a BFS, an equality test or a validator triggers the
+one build.
 
 A random walker on these graphs waits an Exp(1) holding time at each vertex
 and then jumps to a uniformly chosen neighbor; a self-loop is a real jump
@@ -34,7 +33,6 @@ import numpy as np
 MAX_VERTICES = 10**7
 
 
-@dataclass(frozen=True)
 class Graph:
     """Undirected graph in CSR form.  Instances are immutable.
 
@@ -48,47 +46,53 @@ class Graph:
     neighbors : np.ndarray
         int32 array of neighbor ids, strictly increasing within each row.
         A self-loop at v appears once, as v itself.
+    self_loop_count : int
+        Number of self-loops.
+
+    The offsets come from the degrees alone -- arithmetic for K_n and the
+    circulants, a bincount of the edge pairs for a graph built from edges
+    -- and the degree analytics read only them.  ``build`` returns the
+    int32 array that ``neighbors`` holds; it runs once, on the first read
+    by a walker, a BFS, an equality test or a validator, and the graph
+    then drops it together with whatever it holds (the 16 bytes per edge
+    of an edge list).  The array is read-only and the same object on
+    every read.
     """
 
-    n: int
-    offsets: np.ndarray
-    neighbors: np.ndarray
+    def __init__(self, n: int, offsets: np.ndarray, build, self_loop_count: int) -> None:
+        self.__dict__.update(n=n, offsets=offsets, self_loop_count=self_loop_count,
+                             _build=build)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: Graph is immutable")
+
+    @cached_property
+    def neighbors(self) -> np.ndarray:
+        build = self._build
+        if build is None:  # a concurrent first read has finished the build
+            return self.__dict__["neighbors"]
+        nbrs = self.__dict__["neighbors"] = _freeze(build())
+        self.__dict__["_build"] = None
+        return nbrs
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Per-vertex degree (int64); self-loops count once."""
-        d = np.diff(self.offsets)
-        d.setflags(write=False)
-        return d
-
-    @cached_property
-    def degree_cumsum(self) -> np.ndarray:
-        """Cumulative degrees, used for stationary vertex sampling."""
-        c = np.cumsum(self.degrees)
-        c.setflags(write=False)
-        return c
+        return _freeze(np.diff(self.offsets))
 
     @property
     def total_degree(self) -> int:
         """D = sum of degrees = 2 * (off-diagonal edges) + (self-loops)."""
         return int(self.offsets[-1])
 
-    @cached_property
-    def self_loop_count(self) -> int:
-        starts = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.offsets))
-        return int(np.count_nonzero(starts == self.neighbors))
-
     @property
     def edge_count(self) -> int:
         """Number of undirected edges, counting each self-loop once."""
         loops = self.self_loop_count
-        return (len(self.neighbors) - loops) // 2 + loops
+        return (self.total_degree - loops) // 2 + loops
 
     def neighbors_of(self, v: int) -> np.ndarray:
         return self.neighbors[self.offsets[v]:self.offsets[v + 1]]
-
-    def degree(self, v: int) -> int:
-        return int(self.offsets[v + 1] - self.offsets[v])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -98,48 +102,6 @@ class Graph:
             and np.array_equal(self.offsets, other.offsets)
             and np.array_equal(self.neighbors, other.neighbors)
         )
-
-    def __hash__(self) -> int:  # consistent with equality on small graphs
-        return hash((self.n, self.neighbors.tobytes(), self.offsets.tobytes()))
-
-
-class DeferredGraph(Graph):
-    """A Graph whose ``neighbors`` array is built on first access.
-
-    The offsets come from the degrees alone -- arithmetic for K_n, a
-    bincount of the edge pairs for a graph built from edges -- and the
-    degree analytics read only them.  ``build`` returns the int32 array
-    that ``neighbors`` holds; it runs once, on the first read by a walker,
-    a BFS, an equality test or a validator, and the graph then drops it
-    together with whatever it holds (the 16 bytes per edge of an edge
-    list).  The array is read-only and the same object on every read.
-    """
-
-    def __init__(self, n: int, offsets: np.ndarray, build) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "_build", build)
-
-    @cached_property
-    def neighbors(self) -> np.ndarray:
-        build = self._build
-        if build is None:  # a concurrent first read has finished the build
-            return self.__dict__["neighbors"]
-        nbrs = self.__dict__["neighbors"] = _freeze(build())
-        object.__setattr__(self, "_build", None)
-        return nbrs
-
-
-@dataclass(frozen=True)
-class StationaryDistribution:
-    """Degree-proportional stationary law of the neighbor-jump walk."""
-
-    probs: np.ndarray
-
-    @property
-    def sum_sq(self) -> float:
-        """Probability two independent stationary positions coincide."""
-        return float(np.dot(self.probs, self.probs))
 
 
 @dataclass(frozen=True)
@@ -190,7 +152,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _csr_from_half_edges(n: int, u: np.ndarray, v: np.ndarray) -> DeferredGraph:
+def _csr_from_half_edges(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     """Build a Graph from deduplicated canonical int64 edges (u <= v).
 
     Trusted internal constructor: callers guarantee bounds, canonical order
@@ -199,10 +161,12 @@ def _csr_from_half_edges(n: int, u: np.ndarray, v: np.ndarray) -> DeferredGraph:
     column; the adjacency is sorted by :func:`_sorted_neighbors` on the
     first read of ``neighbors``.
     """
-    degrees = np.bincount(u, minlength=n) + np.bincount(v[u != v], minlength=n)
+    off_v = v[u != v]
+    degrees = np.bincount(u, minlength=n) + np.bincount(off_v, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
-    return DeferredGraph(n, _freeze(offsets), partial(_sorted_neighbors, n, u, v))
+    return Graph(n, _freeze(offsets), partial(_sorted_neighbors, n, u, v),
+                 u.size - off_v.size)
 
 
 def _sorted_neighbors(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -264,15 +228,6 @@ def validate_graph(g: Graph) -> None:
     # symmetry: sorted keys of (src, dst) equal sorted keys of (dst, src)
     nbrs = g.neighbors.astype(np.int64)
     assert np.array_equal(np.sort(row_id * g.n + nbrs), np.sort(nbrs * g.n + row_id))
-
-
-def stationary_distribution(g: Graph) -> StationaryDistribution:
-    """Degree-proportional stationary law pi_v = degree(v) / D."""
-    total = g.total_degree
-    if total == 0:
-        raise ValueError("stationary distribution undefined: graph has no edges")
-    probs = g.degrees / float(total)
-    return StationaryDistribution(probs=_freeze(probs))
 
 
 def degree_statistics(g: Graph) -> DegreeStatistics:
@@ -344,58 +299,3 @@ def _slice_gather(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndar
     """Flat indices covering [starts[i], starts[i]+counts[i]) for all i."""
     out = np.repeat(starts + counts - np.cumsum(counts), counts)
     return out + np.arange(total, dtype=np.int64)
-
-
-def write_edge_list(g: Graph, path) -> None:
-    """Write the graph as text: one ``u v`` pair per line, 0-based ids.
-
-    Lines starting with '#' are comments; the first comment records the
-    vertex count so isolated vertices survive a round trip.  Each edge is
-    written once with u <= v.
-    """
-    row_id = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-    keep = row_id <= g.neighbors
-    pairs = np.stack([row_id[keep], g.neighbors[keep].astype(np.int64)], axis=1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={g.n}\n")
-        for a, b in pairs:
-            fh.write(f"{a} {b}\n")
-
-
-def read_edge_list(path, n: int | None = None, allow_self_loops: bool = True) -> Graph:
-    """Read a graph written in the edge-list text format.
-
-    The vertex count is taken from the ``n`` argument if given, else from a
-    leading ``# n=<count>`` comment, else inferred as max endpoint + 1.
-    Malformed lines raise ValueError naming the line number.
-    """
-    pairs: list[tuple[int, int]] = []
-    header_n: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if header_n is None and body.startswith("n="):
-                    try:
-                        header_n = int(body[2:])
-                    except ValueError:
-                        pass
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-integer vertex id in {line!r}") from None
-            pairs.append((a, b))
-    if n is None:
-        n = header_n
-    if n is None:
-        if not pairs:
-            raise ValueError("cannot infer vertex count from an empty edge list")
-        n = max(max(a, b) for a, b in pairs) + 1
-    return build_graph(n, pairs, allow_self_loops=allow_self_loops)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -60,7 +59,7 @@ def asymptotic_wbar_k(gamma: float, d: float, m: float, k: int) -> float:
     * gamma < k + 1: polynomial growth m^(k + 1 - gamma).
 
     Valid when d stays bounded below, m grows at most like sqrt(n*d), and
-    m/d grows slower than n^(1/(gamma-1)); see ``check_assumptions``.
+    m/d grows slower than n^(1/(gamma-1)).
     """
     if k < 2:
         raise ValueError("asymptotic moments are defined for k >= 2")
@@ -74,26 +73,6 @@ def asymptotic_wbar_k(gamma: float, d: float, m: float, k: int) -> float:
         return (gamma - 2) ** k / ((gamma - 1) ** (k - 1) * (gamma - 1 - k)) * d**k
     return ((gamma - 2) ** (gamma - 1) / ((gamma - 1) ** (gamma - 2) * (k + 1 - gamma))
             * d ** (gamma - 1) * m ** (k + 1 - gamma))
-
-
-@dataclass(frozen=True)
-class WeightMoments:
-    """Weight moments wbar_k for a set of orders, empirical or asymptotic."""
-
-    n: int
-    empirical: bool
-    values: dict[int, float]
-
-
-def empirical_weight_moments(w: WeightSequence, ks: Iterable[int]) -> WeightMoments:
-    return WeightMoments(n=w.n, empirical=True,
-                         values={k: empirical_wbar_k(w, k) for k in ks})
-
-
-def asymptotic_weight_moments(n: int, gamma: float, d: float, m: float,
-                              ks: Iterable[int]) -> WeightMoments:
-    return WeightMoments(n=n, empirical=False,
-                         values={k: asymptotic_wbar_k(gamma, d, m, k) for k in ks})
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ class Theorem1Check:
 def _stationary_cumsum(g: Graph) -> np.ndarray:
     if g.total_degree == 0:
         raise ValueError("graph has no edges")
-    return g.degree_cumsum.astype(np.float64)
+    return np.cumsum(g.degrees, dtype=np.float64)
 
 
 def simulate_pair(g: Graph, t_horizon: float, beta: float, seed: int) -> CoincidenceResult:

@@ -11,13 +11,12 @@ import math
 import numpy as np
 import pytest
 
+from coinwalk import generators
 from coinwalk.generators import (
     FAMILIES,
     GenerationError,
     GenSpec,
     WeightSequence,
-    build_trivial,
-    check_assumptions,
     gen_circulant,
     gen_complete,
     gen_expected_degree,
@@ -80,15 +79,16 @@ def test_random_regular_invariants():
     assert gen_random_regular(4, 3, seed=9) == gen_complete(4)
 
 
-def test_random_regular_validation():
+def test_random_regular_validation(monkeypatch):
     with pytest.raises(ValueError, match="even"):
         gen_random_regular(5, 3, seed=0)
     with pytest.raises(ValueError, match="below n"):
         gen_random_regular(4, 4, seed=0)
     with pytest.raises(ValueError, match="at least 1"):
         gen_random_regular(4, 0, seed=0)
+    monkeypatch.setattr(generators, "PAIRING_ATTEMPTS", 0)
     with pytest.raises(GenerationError, match="0 attempts"):
-        gen_random_regular(10, 3, seed=0, max_retries=0)
+        gen_random_regular(10, 3, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,9 @@ def test_power_law_weights_shape():
     assert w.n == n
     assert w.max_weight == m  # w_0 = m exactly
     assert np.all(np.diff(w.weights) <= 0)
-    assert w.i0 == pytest.approx(n * (d * (gamma - 2) / (m * (gamma - 1))) ** (gamma - 1))
+    i0 = n * (d * (gamma - 2) / (m * (gamma - 1))) ** (gamma - 1)
+    assert np.allclose(w.weights, m * (1 + np.arange(n) / i0) ** (-1 / (gamma - 1)),
+                       rtol=1e-12, atol=0)
     # far from the m = sqrt(n*d) ceiling the total tracks n*d
     assert 0.9 < w.total / (n * d) < 1.05
     assert w.probabilities_valid()
@@ -143,38 +145,12 @@ def test_power_law_weights_validation():
         power_law_weights(100, 3.0, 5.0, 5.0)
 
 
-def test_check_assumptions_clean_config():
-    rep = check_assumptions(10_000, 3.0, 5.0, 50.0)
-    assert rep.all_ok and rep.hard_ok
-    assert rep.d_slack == pytest.approx(4.0)
-    assert rep.m_slack == pytest.approx(math.sqrt(50_000.0) - 50.0)
-    assert rep.w_slack > 0
-    assert rep.md_growth_ratio < 1
-    assert rep.log_m_over_log_n == pytest.approx(math.log(50.0) / math.log(10_000.0))
-
-
-def test_check_assumptions_flags_violations():
-    # m above the sqrt(n*d) ceiling invalidates pair probabilities
-    rep = check_assumptions(100, 2.5, 5.0, 80.0)
-    assert not rep.m_le_sqrt_nd
-    assert not rep.w_valid
-    assert rep.w_slack < 0
-    assert not rep.hard_ok
-    # d below delta
-    rep = check_assumptions(1000, 3.0, 0.5, 10.0, delta=1.0)
-    assert not rep.d_ge_delta and not rep.hard_ok
-    # unconstructible parameters come back flagged, not raised
-    rep = check_assumptions(1000, 1.5, 5.0, 50.0)
-    assert not rep.w_valid
-    assert math.isnan(rep.w_slack)
-
-
 # ---------------------------------------------------------------------------
 # G(n, p)
 
 
 def test_gnp_edge_cases():
-    assert gen_gnp(10, 0.0, seed=1) == build_trivial(10)
+    assert gen_gnp(10, 0.0, seed=1) == build_graph(10, [])
     assert gen_gnp(10, 1.0, seed=1) == gen_complete(10)
     assert gen_gnp(1, 0.5, seed=1).n == 1
     with pytest.raises(ValueError):
@@ -215,23 +191,25 @@ def test_gnp_per_pair_frequencies_are_exact():
     assert np.all(np.abs(freq - p) < tol)
 
 
-def test_gnp_connectivity_conditioning():
+def test_gnp_connectivity_conditioning(monkeypatch):
     g = gen_gnp(30, 0.2, seed=5, require_connected=True)
     assert is_connected(g)
     assert g == gen_gnp(30, 0.2, seed=5, require_connected=True)
+    monkeypatch.setattr(generators, "CONNECT_ATTEMPTS", 3)
     with pytest.warns(UserWarning, match="below log"):
-        with pytest.raises(GenerationError, match="no connected"):
-            gen_gnp(30, 0.0, seed=5, require_connected=True, max_retries=3)
+        with pytest.raises(GenerationError, match="no connected .* in 3 attempts"):
+            gen_gnp(30, 0.0, seed=5, require_connected=True)
 
 
-def test_gnp_connectivity_warning_names_the_caller():
+def test_gnp_connectivity_warning_names_the_caller(monkeypatch):
     # the warning points at the code that asked for the graph, whichever
     # route through the generators module it took
-    spec = GenSpec(family="gnp", n=30, p=0.0, require_connected=True, max_retries=2)
+    monkeypatch.setattr(generators, "CONNECT_ATTEMPTS", 2)
+    spec = GenSpec(family="gnp", n=30, p=0.0, require_connected=True)
     routes = (
         lambda: generate(spec),
         lambda: sampler_for(spec)(5),
-        lambda: gen_gnp(30, 0.0, seed=5, require_connected=True, max_retries=2),
+        lambda: gen_gnp(30, 0.0, seed=5, require_connected=True),
     )
     for route in routes:
         with pytest.warns(UserWarning, match="below log") as record:
@@ -324,7 +302,7 @@ def test_weights_for():
         GenSpec(family="expected_degree", n=4, w=2.0)
     ).weights.tolist() == [2.0] * 4
     pl = weights_for(GenSpec(family="expected_degree", n=100, gamma=3.0, d=4.0, m=20.0))
-    assert pl.gamma == 3.0 and pl.max_weight == 20.0
+    assert np.array_equal(pl.weights, power_law_weights(100, 3.0, 4.0, 20.0).weights)
     with pytest.raises(ValueError, match="expected_degree"):
         weights_for(GenSpec(family="gnp", n=4, p=0.5))
     with pytest.raises(ValueError, match="requires parameter 'gamma'"):
@@ -362,14 +340,15 @@ def test_generate_strict_flag_passthrough():
     assert g.edge_count == 3
 
 
-def test_generate_connectivity_conditioning():
+def test_generate_connectivity_conditioning(monkeypatch):
     spec = GenSpec(family="expected_degree", n=40, gamma=3.0, d=6.0, m=10.0,
                    require_connected=True, seed=21)
     g = generate(spec)
     assert is_connected(g)
     assert g == generate(spec)
     hopeless = GenSpec(family="expected_degree", n=50, gamma=3.0, d=0.05, m=1.0,
-                       require_connected=True, seed=21, max_retries=3)
+                       require_connected=True, seed=21)
+    monkeypatch.setattr(generators, "CONNECT_ATTEMPTS", 3)
     with pytest.raises(GenerationError, match="3 attempts"):
         generate(hopeless)
 

@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import connected_components
 from coinwalk import generators
 from coinwalk.generators import (
     gen_circulant,
+    gen_complete,
     gen_expected_degree,
     gen_gnp,
     gen_random_regular,
@@ -22,13 +23,11 @@ from coinwalk.graph_core import (
     build_graph,
     degree_statistics,
     is_connected,
-    read_edge_list,
-    stationary_distribution,
     theorem1_bounds,
     validate_graph,
-    write_edge_list,
 )
 from coinwalk.harness import parse_spec, run_experiment
+from coinwalk.walk_sim import SimConfig, simulate_batch
 
 
 def path3():
@@ -95,22 +94,13 @@ def test_empty_graph_statistics():
     with pytest.raises(ValueError, match="no edges"):
         stats.coincidence_rate
     with pytest.raises(ValueError, match="no edges"):
-        stationary_distribution(g)
-
-
-def test_stationary_distribution_path3():
-    pi = stationary_distribution(path3())
-    assert np.allclose(pi.probs, [0.25, 0.5, 0.25])
-    assert pi.sum_sq == pytest.approx(3.0 / 8.0, rel=1e-15)
-
-
-def test_stationary_distribution_star3():
-    pi = stationary_distribution(star3())
-    assert np.allclose(pi.probs, [0.5, 1 / 6, 1 / 6, 1 / 6])
-    assert pi.sum_sq == pytest.approx(1.0 / 3.0, rel=1e-15)
+        simulate_batch(g, SimConfig(t_horizon=1.0))
 
 
 def test_degree_statistics_identity():
+    # sum(pi^2) on P3 (pi = 1/4, 1/2, 1/4) and K_{1,3} (pi = 1/2, 1/6, 1/6, 1/6)
+    assert degree_statistics(path3()).coincidence_rate == pytest.approx(3.0 / 8.0, rel=1e-15)
+    assert degree_statistics(star3()).coincidence_rate == pytest.approx(1.0 / 3.0, rel=1e-15)
     # sum of squared degrees = D2 + D on assorted graphs
     graphs = [
         path3(),
@@ -122,9 +112,8 @@ def test_degree_statistics_identity():
         st = degree_statistics(g)
         assert st.sum_deg_sq == st.D2 + st.D
         assert st.D == g.total_degree
-        assert st.coincidence_rate == pytest.approx(
-            stationary_distribution(g).sum_sq, rel=1e-12
-        )
+        pi = g.degrees / g.total_degree
+        assert st.coincidence_rate == pytest.approx(np.dot(pi, pi), rel=1e-12)
 
 
 def test_degree_statistics_exact_in_int64_on_huge_star():
@@ -137,14 +126,14 @@ def test_degree_statistics_exact_in_int64_on_huge_star():
     neighbors = np.concatenate(
         [np.arange(1, n, dtype=np.int32), np.zeros(n - 1, dtype=np.int32)]
     )
-    g = Graph(n=n, offsets=offsets, neighbors=neighbors)
+    g = Graph(n, offsets, lambda: neighbors, 0)
     st = degree_statistics(g)
     assert st.D == 2 * hub_deg
     assert st.sum_deg_sq == hub_deg**2 + hub_deg
     assert st.D2 == st.sum_deg_sq - st.D
     # degrees come from offsets alone; the squares sum to 2^63, which int64 wraps
-    huge = Graph(n=2, offsets=np.array([0, 2**31, 2**32], dtype=np.int64),
-                 neighbors=np.zeros(0, dtype=np.int32))
+    huge = Graph(2, np.array([0, 2**31, 2**32], dtype=np.int64),
+                 lambda: np.zeros(0, dtype=np.int32), 0)
     with pytest.raises(OverflowError):
         degree_statistics(huge)
 
@@ -181,38 +170,8 @@ def test_is_connected():
         assert is_connected(build_graph(n, edges)) is connected
 
 
-def test_edge_list_round_trip(tmp_path):
-    g = build_graph(6, [(0, 1), (1, 2), (4, 4), (3, 5)], allow_self_loops=True)
-    p = tmp_path / "g.txt"
-    write_edge_list(g, p)
-    back = read_edge_list(p)
-    assert back == g
-
-
-def test_edge_list_header_preserves_isolated_vertices(tmp_path):
-    g = build_graph(10, [(0, 1)])
-    p = tmp_path / "g.txt"
-    write_edge_list(g, p)
-    assert read_edge_list(p).n == 10
-    assert read_edge_list(p, n=12).n == 12
-
-
-def test_edge_list_malformed_lines(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("0 1\n2\n")
-    with pytest.raises(ValueError, match="line 2"):
-        read_edge_list(p)
-    p.write_text("0 x\n")
-    with pytest.raises(ValueError, match="non-integer"):
-        read_edge_list(p)
-    p.write_text("")
-    with pytest.raises(ValueError, match="empty edge list"):
-        read_edge_list(p)
-
-
 def test_graph_equality_and_hash():
     assert path3() == path3()
-    assert hash(path3()) == hash(path3())
     assert path3() != star3()
     assert path3() != "not a graph"
 
@@ -307,3 +266,18 @@ def test_degree_rows_leave_the_adjacency_unbuilt(handed_pairs):
         assert all(row.error is None for row in rows)
     assert len(handed_pairs) == 4 + 3
     assert all("neighbors" not in vars(g) for *_, g, _ in handed_pairs)
+
+
+def test_edge_and_loop_counts_leave_the_adjacency_unbuilt():
+    g = gen_expected_degree(power_law_weights(2000, 2.5, 4.0, 60.0), seed=5)
+    loops, edges = g.self_loop_count, g.edge_count
+    assert "neighbors" not in vars(g)
+    rows = np.repeat(np.arange(g.n), g.degrees)
+    assert loops == int(np.sum(rows == g.neighbors)) > 0
+    assert edges == int(np.sum(rows <= g.neighbors))
+    for g, edges in ((gen_complete(40), 40 * 39 // 2), (gen_circulant(40, 3), 40 * 3)):
+        assert (g.self_loop_count, g.edge_count) == (0, edges)
+        assert "neighbors" not in vars(g)
+        validate_graph(g)
+    with pytest.raises(AttributeError, match="immutable"):
+        g.n = 3

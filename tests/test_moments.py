@@ -23,13 +23,11 @@ from coinwalk.moments import (
     REGIME_AT_3,
     REGIME_BELOW_3,
     asymptotic_wbar_k,
-    asymptotic_weight_moments,
     chebyshev_relative,
     closed_form_D,
     closed_form_D2,
     closed_form_moments,
     empirical_wbar_k,
-    empirical_weight_moments,
     ensemble_estimate,
     er_moments,
     predict_scaling,
@@ -220,16 +218,6 @@ def test_asymptotic_validation():
         asymptotic_wbar_k(3.0, 20.0, 2.0, 2)
     with pytest.raises(ValueError, match="at least 1"):
         empirical_wbar_k(uniform_weights(3, 1.0), 0)
-
-
-def test_weight_moment_wrappers():
-    w = power_law_weights(1000, 3.0, 4.0, 40.0)
-    emp = empirical_weight_moments(w, [2, 3])
-    assert emp.empirical and emp.n == 1000
-    assert emp.values[2] == empirical_wbar_k(w, 2)
-    asy = asymptotic_weight_moments(1000, 3.0, 4.0, 40.0, [2])
-    assert not asy.empirical
-    assert asy.values[2] == asymptotic_wbar_k(3.0, 4.0, 40.0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ def measured_ratio(n, gamma, seed):
     spec = GenSpec(family="expected_degree", n=n, gamma=gamma, d=d, m=m,
                    strict=False)
     g = sampler_for(spec)(seed)
-    return g.n * degree_statistics(g).coincidence_rate, m
+    return g.n * degree_statistics(g).coincidence_rate
 
 
 def main():
@@ -30,18 +30,16 @@ def main():
     print("n * sum(pi^2), one sampled graph per point, d = 5, m = sqrt(n*d)")
     print("-" * 64)
     print(f"{'gamma':>6}", *(f"{'n=%d' % n:>12}" for n in ns), "  regime", sep="")
+    table = []
     for gi, gamma in enumerate(gammas):
-        cells = []
-        for ni, n in enumerate(ns):
-            ratio, m = measured_ratio(n, gamma, derive_seed(42, gi * len(ns) + ni))
-            cells.append(f"{ratio:12.4f}")
+        ratios = [measured_ratio(n, gamma, derive_seed(42, gi * len(ns) + ni))
+                  for ni, n in enumerate(ns)]
+        table.append(ratios)
         pred = predict_scaling(gamma, 5.0, math.sqrt(ns[-1] * 5.0))
-        print(f"{gamma:6.1f}", *cells, f"  {pred.regime}", sep="")
+        print(f"{gamma:6.1f}", *(f"{r:12.4f}" for r in ratios), f"  {pred.regime}", sep="")
     print()
     print("log-log growth in n (slope between consecutive points):")
-    for gi, gamma in enumerate(gammas):
-        ratios = [measured_ratio(n, gamma, derive_seed(42, gi * len(ns) + ni))[0]
-                  for ni, n in enumerate(ns)]
+    for gamma, ratios in zip(gammas, table):
         slopes = [math.log(ratios[i + 1] / ratios[i]) / math.log(ns[i + 1] / ns[i])
                   for i in range(len(ns) - 1)]
         target = max(0.0, (3.0 - gamma) / 2.0)

@@ -53,8 +53,6 @@ from .moments import (
     ScalingPrediction,
     asymptotic_wbar_k,
     chebyshev_relative,
-    closed_form_D,
-    closed_form_D2,
     closed_form_moments,
     empirical_wbar_k,
     ensemble_estimate,
@@ -108,8 +106,6 @@ __all__ = [
     "REGIME_BELOW_3",
     "empirical_wbar_k",
     "asymptotic_wbar_k",
-    "closed_form_D",
-    "closed_form_D2",
     "closed_form_moments",
     "er_moments",
     "chebyshev_relative",

@@ -1,9 +1,9 @@
 """Command-line entry point for batch experiments.
 
 Subcommands mirror the spec kinds -- ``analyze``, ``simulate``,
-``ensemble``, ``sweep`` -- each taking a JSON spec file plus optional
-overrides, and ``predict`` evaluates the scaling regime for one
-(gamma, d, m) triple directly from flags.
+``ensemble``, ``sweep`` -- each taking a JSON spec file plus flags for
+the seed, output and worker count -- and ``predict`` evaluates the
+scaling regime for one (gamma, d, m) triple directly from flags.
 
 Exit codes: 0 success, 2 spec validation failure, 3 at least one grid
 point failed (its row carries the error message), 4 I/O failure.
@@ -12,7 +12,6 @@ point failed (its row carries the error message), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -43,15 +42,14 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text, description=help_text)
         cmd.add_argument("--spec", required=True, metavar="FILE",
                          help="JSON experiment spec (its kind must match this subcommand)")
-        cmd.add_argument("--out", metavar="FILE",
-                         help="output file (overrides the spec; default stdout)")
-        cmd.add_argument("--format", choices=["csv", "json"],
-                         help="output format (overrides the spec; default csv)")
+        cmd.add_argument("--out", metavar="FILE", help="output file (default stdout)")
+        cmd.add_argument("--format", choices=["csv", "json"], default="csv",
+                         help="output format (default csv)")
         cmd.add_argument("--seed", type=int,
                          help="master seed (overrides the spec)")
-        cmd.add_argument("--jobs", type=int,
+        cmd.add_argument("--jobs", type=int, default=1,
                          help="worker threads across grid points "
-                              "(default: COINWALK_JOBS or 1; identical output either way)")
+                              "(default 1; identical output either way)")
     pred = sub.add_parser(
         "predict",
         help="Evaluate the scaling-regime prediction for one (gamma, d, m) triple.",
@@ -62,18 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--out", metavar="FILE", help="output file (default stdout)")
     pred.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
-
-
-def _resolve_jobs(value: int | None) -> int:
-    if value is None:
-        raw = os.environ.get("COINWALK_JOBS", "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise SpecError(f"COINWALK_JOBS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise SpecError(f"jobs must be at least 1, got {value}")
-    return value
 
 
 def _emit_or_die(rows, fmt: str, path: str | None) -> int:
@@ -107,17 +93,16 @@ def main(argv: list[str] | None = None) -> int:
             if args.seed < 0:
                 raise SpecError(f"seed must be non-negative, got {args.seed}")
             spec = replace(spec, seed=args.seed)
-        jobs = _resolve_jobs(args.jobs)
+        if args.jobs < 1:
+            raise SpecError(f"jobs must be at least 1, got {args.jobs}")
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except OSError as exc:
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return EXIT_IO
-    rows = run_experiment(spec, jobs=jobs)
-    fmt = args.format or spec.out_format
-    path = args.out if args.out is not None else spec.out_path
-    code = _emit_or_die(rows, fmt, path)
+    rows = run_experiment(spec, jobs=args.jobs)
+    code = _emit_or_die(rows, args.format, args.out)
     if code != EXIT_OK:
         return code
     failed = sum(1 for row in rows if row.error)

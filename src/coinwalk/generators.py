@@ -98,8 +98,7 @@ class WeightSequence:
 
 def uniform_weights(n: int, w: float) -> WeightSequence:
     """Constant weight sequence; with w = n*p this is the G(n, p) surrogate."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_vertex_count(n)
     if not (w > 0 and math.isfinite(w)):
         raise ValueError("weight must be positive and finite")
     return WeightSequence(weights=np.full(n, float(w)))
@@ -418,17 +417,15 @@ def sampler_for(spec: GenSpec):
     made, once, up front; the returned callable applies connectivity
     conditioning when the spec asks for it (attempt a uses the derived
     seed (s, a), giving up after ``CONNECT_ATTEMPTS``).
-    Deterministic families ignore the seed.
+    Deterministic families ignore the seed and need no conditioning: K_n
+    (n >= 2) is connected, and so is every circulant, since k >= 1 puts
+    the cycle v -> v + 1 in it.
     """
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}")
     if spec.family in ("complete", "circulant"):
-        if spec.family == "complete":
-            g = gen_complete(spec.n)
-        else:
-            g = gen_circulant(spec.n, _require(spec, "k"))
-        if spec.require_connected and not is_connected(g):
-            raise GenerationError(f"{spec.family} graph with n={spec.n} is not connected")
+        g = (gen_complete(spec.n) if spec.family == "complete"
+             else gen_circulant(spec.n, _require(spec, "k")))
         return lambda s: g
     if spec.family == "gnp":
         return _gnp_sampler(spec.n, _require(spec, "p"), spec.require_connected)

@@ -134,8 +134,6 @@ class ExperimentSpec:
     sim: dict[str, Any] | None = None
     ensemble_replicates: int | None = None
     seeds_per_point: int | None = None
-    out_path: str | None = None
-    out_format: str = "csv"
     description: str | None = None
 
 
@@ -349,33 +347,20 @@ def parse_spec(text: str) -> ExperimentSpec:
     kind = _need(doc, "kind", "spec")
     if kind not in _KIND_BLOCKS:
         raise SpecError(f"unknown kind {kind!r}; expected one of {', '.join(_KIND_BLOCKS)}")
-    _reject_unknown(doc, {"kind", "seed", "description", "output", *_BLOCKS}, "spec")
+    _reject_unknown(doc, {"kind", "seed", "description", *_BLOCKS}, "spec")
     seed = _as_int(_need(doc, "seed", "spec"), "seed")
     if seed < 0:
         raise SpecError(f"seed must be non-negative, got {seed}")
     description = doc.get("description")
     if description is not None and not isinstance(description, str):
         raise SpecError("description must be a string")
-    out_path, out_format = None, "csv"
-    if "output" in doc:
-        blk = doc["output"]
-        if not isinstance(blk, dict):
-            raise SpecError("'output' must be an object")
-        _reject_unknown(blk, {"path", "format"}, "'output'")
-        out_path = _need(blk, "path", "'output'")
-        if not isinstance(out_path, str):
-            raise SpecError("output.path must be a string")
-        out_format = blk.get("format", "csv")
-        if out_format not in FORMATS:
-            raise SpecError(f"output.format must be one of {', '.join(FORMATS)}")
     parsed: dict[str, Any] = {}
     for name, parse in _BLOCKS.items():
         if name in _KIND_BLOCKS[kind]:
             parsed.update(parse(_need(doc, name, "spec")))
         elif name in doc:
             raise SpecError(f"key {name!r} is not valid for kind {kind!r}")
-    return ExperimentSpec(kind=kind, seed=seed, out_path=out_path, out_format=out_format,
-                          description=description, **parsed)
+    return ExperimentSpec(kind=kind, seed=seed, description=description, **parsed)
 
 
 def load_spec(path: str) -> ExperimentSpec:

@@ -14,6 +14,8 @@ Under those conventions E[deg(v)] = w_v exactly, and:
     E[D2]   = S2 * (1 - S2/W^2)
     Var(D2) <= 4*S3 + 2*S2 + 4*S2^2/W   (upper bound, not exact)
 
+:func:`closed_form_moments` evaluates all four from one pass of power sums.
+
 With uniform weights w = n*p these reduce to n^2 p, (2n-1)np(1-p),
 n^2(n-1)p^2 and 8n^4p^3 + 2n^3p^2.
 """
@@ -89,21 +91,8 @@ class ClosedFormMoments:
     VarD2_bound: float
 
 
-def _power_sums(w: WeightSequence) -> tuple[float, float, float, float]:
-    wts = w.weights
-    return (w.total, float(np.sum(wts**2)), float(np.sum(wts**3)),
-            float(np.sum(wts**4)))
-
-
-def _check_valid(w: WeightSequence, strict: bool) -> None:
-    if strict and not w.probabilities_valid():
-        raise ValueError(
-            "closed forms assume valid pair probabilities (W >= max(w)^2); "
-            "pass strict=False to evaluate the algebra anyway")
-
-
-def closed_form_D(w: WeightSequence, strict: bool = True) -> tuple[float, float]:
-    """(E[D], Var(D)) for the expected-degree model on these weights.
+def closed_form_moments(w: WeightSequence, strict: bool = True) -> ClosedFormMoments:
+    """E[D], Var(D), E[D2] and the Var(D2) bound for the expected-degree model.
 
     The formulas describe the unclamped model, so they are exact when
     W >= max(w)^2; ``strict`` (the default) rejects weights outside that
@@ -111,26 +100,18 @@ def closed_form_D(w: WeightSequence, strict: bool = True) -> tuple[float, float]
     at mild violations (the m = sqrt(n*d) boundary) only the heaviest few
     pairs clamp and the formula error stays small.
     """
-    _check_valid(w, strict)
-    total, s2, _, s4 = _power_sums(w)
-    ed = total
-    var = 2.0 * (total - s2**2 / total**2) - (s2 / total - s4 / total**2)
-    return ed, var
-
-
-def closed_form_D2(w: WeightSequence, strict: bool = True) -> tuple[float, float]:
-    """(E[D2], upper bound on Var(D2)); validity handling as closed_form_D."""
-    _check_valid(w, strict)
-    total, s2, s3, _ = _power_sums(w)
-    ed2 = s2 * (1.0 - s2 / total**2)
-    bound = 4.0 * s3 + 2.0 * s2 + 4.0 * s2**2 / total
-    return ed2, bound
-
-
-def closed_form_moments(w: WeightSequence, strict: bool = True) -> ClosedFormMoments:
-    ed, var = closed_form_D(w, strict)
-    ed2, bound = closed_form_D2(w, strict)
-    return ClosedFormMoments(ED=ed, VarD=var, ED2=ed2, VarD2_bound=bound)
+    if strict and not w.probabilities_valid():
+        raise ValueError(
+            "closed forms assume valid pair probabilities (W >= max(w)^2); "
+            "pass strict=False to evaluate the algebra anyway")
+    wts, total = w.weights, w.total
+    s2, s3, s4 = float(np.sum(wts**2)), float(np.sum(wts**3)), float(np.sum(wts**4))
+    return ClosedFormMoments(
+        ED=total,
+        VarD=2.0 * (total - s2**2 / total**2) - (s2 / total - s4 / total**2),
+        ED2=s2 * (1.0 - s2 / total**2),
+        VarD2_bound=4.0 * s3 + 2.0 * s2 + 4.0 * s2**2 / total,
+    )
 
 
 def er_moments(n: int, p: float) -> ClosedFormMoments:

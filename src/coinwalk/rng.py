@@ -8,7 +8,8 @@ Because the k-th output of a stream is a closed-form function of
 uint64 arithmetic, and the scalar and vectorized paths agree bit for bit.
 
 Child streams are derived with :func:`derive_seed`, which mixes
-``(seed, index)`` into a fresh 64-bit seed.  Replicate i of any experiment
+``(seed, index)`` into a fresh 64-bit seed; :func:`derive_seeds` does the
+same for whole arrays of parents and indices.  Replicate i of any experiment
 owns the stream ``Stream(derive_seed(master_seed, i))``, so results are
 independent of worker count, chunking, and execution order, and identical
 across platforms.
@@ -68,22 +69,22 @@ def derive_seed(seed: int, index: int) -> int:
     return mix64(mix64(z) ^ _DERIVE_SALT)
 
 
-def derive_seeds(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`derive_seed` for an array of child indices."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    z = np.uint64(int(seed) & MASK64) + (idx + np.uint64(1)) * GAMMA_U64
-    return mix64_vec(mix64_vec(z) ^ np.uint64(_DERIVE_SALT))
+def derive_seeds(seeds: int | np.ndarray, indices: int | list[int] | np.ndarray) -> np.ndarray:
+    """Vectorized :func:`derive_seed`, broadcasting parent seeds against indices.
 
-
-def derive_child_seeds(seeds: np.ndarray, index: int) -> np.ndarray:
-    """Vectorized :func:`derive_seed` for an array of parent seeds.
-
-    Elementwise identical to ``derive_seed(int(s), index)``.
+    Elementwise identical to ``derive_seed(int(s), int(i))``: a scalar
+    parent with an index array, a parent array with one index, or a
+    column of parents (shape (n, 1)) with a row of indices.
     """
-    if index < 0:
+    # atleast_1d keeps the arithmetic on arrays: on 0-d uint64 values numpy
+    # warns about the overflow, which here is the intended wraparound.
+    idx = np.atleast_1d(indices)
+    if np.any(idx < 0):
         raise ValueError("stream index must be non-negative")
-    step = np.uint64(((index + 1) * GOLDEN_GAMMA) & MASK64)
-    z = seeds.astype(np.uint64) + step
+    if np.ndim(seeds) == 0:
+        seeds = int(seeds) & MASK64
+    steps = (idx.astype(np.uint64) + np.uint64(1)) * GAMMA_U64
+    z = np.asarray(seeds, dtype=np.uint64) + steps
     return mix64_vec(mix64_vec(z) ^ np.uint64(_DERIVE_SALT))
 
 

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import Graph, theorem1_bounds
-from .rng import (GAMMA_U64, Stream, derive_child_seeds, derive_seed,
-                  derive_seeds, mix64_vec, uniform_from_u64)
+from .rng import GAMMA_U64, Stream, derive_seed, derive_seeds, mix64_vec, uniform_from_u64
 
 #: Replicates that ``simulate_batch`` advances in lockstep at a time.  It
 #: bounds the engine's working memory; results do not depend on it.
@@ -190,9 +189,8 @@ def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
     total = cum[-1]
     offs, nbrs = g.offsets, g.neighbors
     degs_f = g.degrees.astype(np.float64)
-    ev = derive_child_seeds(rep_seeds, 0)
-    streams = np.stack([derive_child_seeds(rep_seeds, 1),
-                        derive_child_seeds(rep_seeds, 2)], axis=1) + GAMMA_U64
+    ev = derive_seeds(rep_seeds, 0)
+    streams = derive_seeds(rep_seeds[:, None], [1, 2]) + GAMMA_U64
     pos = np.searchsorted(cum, uniform_from_u64(mix64_vec(streams)) * total, side="right")
     jumps = np.zeros(pos.shape, dtype=np.int64)
     t = np.zeros(rep_seeds.size)

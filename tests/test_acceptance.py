@@ -47,8 +47,6 @@ from coinwalk.graph_core import (
     theorem1_bounds,
 )
 from coinwalk.moments import (
-    closed_form_D,
-    closed_form_D2,
     closed_form_moments,
     ensemble_estimate,
     er_moments,
@@ -323,7 +321,7 @@ def test_variance_of_D_tracks_2W_for_power_law_weights():
     ratios = {}
     for gamma in (2.5, 3.5):
         w = power_law_weights(n, gamma, d, m)
-        _, var_d = closed_form_D(w, strict=False)
+        var_d = closed_form_moments(w, strict=False).VarD
         ratios[gamma] = var_d / (2.0 * w.total)
         assert 0.9 <= ratios[gamma] <= 1.1, (gamma, ratios[gamma])
     elapsed = time.perf_counter() - start
@@ -348,7 +346,7 @@ def test_concentration_of_D2_improves_with_n():
             m = math.sqrt(n * d)
             spec = GenSpec(family="expected_degree", n=n, gamma=gamma, d=d, m=m,
                            strict=False)
-            ed2 = closed_form_D2(weights_for(spec), strict=False)[0]
+            ed2 = closed_form_moments(weights_for(spec), strict=False).ED2
             draw = sampler_for(spec)
             point_seed = derive_seed(1234, gi * len(ns) + ni)
             acc = 0.0

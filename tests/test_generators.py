@@ -321,6 +321,17 @@ def test_generate_deterministic_families_ignore_seed():
     assert generate(GenSpec(family="circulant", n=9, k=2, seed=5)) == gen_circulant(9, 2)
 
 
+def test_deterministic_families_are_connected_without_a_search():
+    # K_n (n >= 2) and every circulant (k >= 1 holds the cycle v -> v + 1)
+    # are connected, so require_connected runs no BFS and leaves the
+    # adjacency unbuilt.
+    for spec in (GenSpec("complete", n=50, require_connected=True),
+                 GenSpec("circulant", n=41, k=3, require_connected=True)):
+        g = generate(spec)
+        assert "neighbors" not in vars(g)
+        assert is_connected(g)
+
+
 def test_generate_unknown_family_and_missing_params():
     with pytest.raises(ValueError, match="unknown family"):
         generate(GenSpec(family="lattice", n=10))

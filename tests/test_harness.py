@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from coinwalk.cli import EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_SPEC, main
+from coinwalk.generators import gen_expected_degree, uniform_weights
+from coinwalk.graph_core import MAX_VERTICES
 from coinwalk.harness import (
     COLUMNS,
     SpecError,
@@ -40,7 +42,6 @@ def test_parse_minimal_analyze():
     assert spec.seed == 7
     assert spec.graph["family"] == "complete"
     assert spec.graph["n"] == [2, 3, 4]
-    assert spec.out_format == "csv" and spec.out_path is None
 
 
 def test_parse_reports_json_location():
@@ -147,13 +148,21 @@ def test_parse_ensemble_block():
         parse_spec(json.dumps(doc))
 
 
-def test_parse_output_block():
-    spec = parse_spec(spec_text(output={"path": "out.csv", "format": "json"}))
-    assert spec.out_path == "out.csv" and spec.out_format == "json"
-    with pytest.raises(SpecError, match="output.format"):
-        parse_spec(spec_text(output={"path": "x", "format": "xml"}))
-    with pytest.raises(SpecError, match="missing required key 'path'"):
-        parse_spec(spec_text(output={"format": "csv"}))
+def test_parse_rejects_output_block():
+    # Output path and format are set by the --out and --format flags alone.
+    with pytest.raises(SpecError, match="unknown key 'output' in spec"):
+        parse_spec(spec_text(output={"path": "out.csv", "format": "json"}))
+
+
+def test_uniform_weights_respect_the_vertex_bound():
+    n = MAX_VERTICES + 1
+    with pytest.raises(ValueError, match="exceeds supported maximum"):
+        gen_expected_degree(uniform_weights(n, 1e-6), 1)
+    doc = {"kind": "analyze", "seed": 1,
+           "graph": {"family": "expected_degree", "n": n, "w": 1e-6}}
+    (row,) = run_experiment(parse_spec(json.dumps(doc)))
+    assert "exceeds supported maximum" in row.error
+    assert row.D is None and row.ED is None
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +402,25 @@ def test_cli_output_file_and_format(tmp_path, capsys):
     assert json.loads(out.read_text(encoding="utf-8"))[0]["kind"] == "analyze"
     missing_dir = tmp_path / "nope" / "res.csv"
     assert main(["analyze", "--spec", path, "--out", str(missing_dir)]) == EXIT_IO
+    # Only the flags say where the output goes; a spec's output block is an error.
+    spec_out = tmp_path / "spec_out.csv"
+    path = write_spec(tmp_path, output={"path": str(spec_out)})
+    assert main(["analyze", "--spec", path]) == EXIT_SPEC
+    assert "unknown key 'output'" in capsys.readouterr().err
+    assert not spec_out.exists()
 
 
-def test_cli_jobs_environment(tmp_path, capsys, monkeypatch):
+def test_cli_jobs_flag(tmp_path, capsys, monkeypatch):
     path = write_spec(tmp_path)
-    monkeypatch.setenv("COINWALK_JOBS", "4")
     assert main(["analyze", "--spec", path]) == EXIT_OK
     base = capsys.readouterr().out
+    assert main(["analyze", "--spec", path, "--jobs", "4"]) == EXIT_OK
+    assert capsys.readouterr().out == base
+    assert main(["analyze", "--spec", path, "--jobs", "0"]) == EXIT_SPEC
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    # The worker count comes from the flag alone; the environment is not read.
     monkeypatch.setenv("COINWALK_JOBS", "nope")
-    assert main(["analyze", "--spec", path]) == EXIT_SPEC
-    monkeypatch.delenv("COINWALK_JOBS")
-    main(["analyze", "--spec", path])
+    assert main(["analyze", "--spec", path]) == EXIT_OK
     assert capsys.readouterr().out == base
 
 

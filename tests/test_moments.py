@@ -24,8 +24,6 @@ from coinwalk.moments import (
     REGIME_BELOW_3,
     asymptotic_wbar_k,
     chebyshev_relative,
-    closed_form_D,
-    closed_form_D2,
     closed_form_moments,
     empirical_wbar_k,
     ensemble_estimate,
@@ -99,12 +97,10 @@ def test_uniform_w2_n4_reference_values():
 def test_closed_form_strict_validity():
     bad = uniform_weights(2, 5.0)
     with pytest.raises(ValueError, match="strict=False"):
-        closed_form_D(bad)
-    with pytest.raises(ValueError, match="strict=False"):
-        closed_form_D2(bad)
-    ed, var = closed_form_D(bad, strict=False)
-    assert ed == 10.0
-    assert math.isfinite(var)
+        closed_form_moments(bad)
+    cf = closed_form_moments(bad, strict=False)
+    assert cf.ED == 10.0
+    assert math.isfinite(cf.VarD)
 
 
 def test_er_moments_identity_grid():

@@ -7,6 +7,8 @@ run for seeds 0, 42, and 0xDEADBEEFCAFEF00D.  They pin the generator to the
 de facto standard output sequence.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from coinwalk.rng import (
     GOLDEN_GAMMA,
     MASK64,
     Stream,
-    derive_child_seeds,
     derive_seed,
     derive_seeds,
     mix64,
@@ -115,28 +116,41 @@ def test_derive_seed_decorrelates_from_parent_outputs():
 
 
 def test_derive_seeds_matches_scalar():
-    seed = 0xABCDEF
     idx = np.arange(200)
-    vec = derive_seeds(seed, idx)
-    scal = np.array([derive_seed(seed, int(i)) for i in idx], dtype=np.uint64)
-    assert np.array_equal(vec, scal)
+    # Scalar parents whose sums with the index steps wrap past 2**64.
+    for seed in (0xABCDEF, MASK64):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec = derive_seeds(seed, idx)
+            one = derive_seeds(seed, 5)
+        scal = np.array([derive_seed(seed, int(i)) for i in idx], dtype=np.uint64)
+        assert np.array_equal(vec, scal)
+        assert one.shape == (1,) and one[0] == derive_seed(seed, 5)
 
 
 def test_derive_child_seeds_matches_scalar():
     parents = derive_seeds(9001, np.arange(64))
-    for index in (0, 1, 2, 17):
-        vec = derive_child_seeds(parents, index)
-        scal = np.array(
-            [derive_seed(int(p), index) for p in parents], dtype=np.uint64
-        )
-        assert np.array_equal(vec, scal)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cols = derive_seeds(parents[:, None], [1, 2])
+        for index in (0, 1, 2, 17):
+            vec = derive_seeds(parents, index)
+            scal = np.array(
+                [derive_seed(int(p), index) for p in parents], dtype=np.uint64
+            )
+            assert np.array_equal(vec, scal)
+    assert cols.shape == (64, 2)
+    for j, index in enumerate((1, 2)):
+        assert np.array_equal(cols[:, j], derive_seeds(parents, index))
 
 
 def test_derive_seed_rejects_negative_index():
     with pytest.raises(ValueError):
         derive_seed(1, -1)
     with pytest.raises(ValueError):
-        derive_child_seeds(np.array([1], dtype=np.uint64), -2)
+        derive_seeds(np.array([1], dtype=np.uint64), -2)
+    with pytest.raises(ValueError):
+        derive_seeds(1, [0, 3, -1])
 
 
 def test_uniform_moments_sane():

@@ -15,7 +15,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .harness import ResultRow, SpecError, emit, fill_row, load_spec, run_experiment
+from .harness import (ResultRow, SpecError, check_seed, emit, fill_row, load_spec,
+                      run_experiment)
 from .moments import predict_scaling
 
 EXIT_OK = 0
@@ -90,9 +91,7 @@ def main(argv: list[str] | None = None) -> int:
             raise SpecError(
                 f"spec kind {spec.kind!r} does not match subcommand {args.command!r}")
         if args.seed is not None:
-            if args.seed < 0:
-                raise SpecError(f"seed must be non-negative, got {args.seed}")
-            spec = replace(spec, seed=args.seed)
+            spec = replace(spec, seed=check_seed(args.seed))
         if args.jobs < 1:
             raise SpecError(f"jobs must be at least 1, got {args.jobs}")
     except SpecError as exc:

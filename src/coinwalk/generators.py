@@ -26,6 +26,10 @@ sorted-weight envelope of Miller & Hagberg (WAW 2011):
 Draw order, all from one stream: blocks by class pair (A, B) with A outer
 and B inner; within a block, chunks of at most ``_CHUNK`` gap uniforms,
 each followed by one thinning uniform per candidate it produced.
+
+Attempts: each random family is a plan, validated once, from a stream to
+a graph, or to ``None`` for a stub pairing that is not simple.  Attempt a
+draws from ``derive_seed(seed, a)``; the first graph (connected, if asked) wins.
 """
 
 from __future__ import annotations
@@ -178,9 +182,14 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
 
     Each attempt pairs the n*r vertex stubs uniformly at random and is
     rejected wholesale if it produced a self-loop or a duplicate edge, so
-    accepted graphs are uniform over simple pairings.  Attempt a uses the
-    derived seed (seed, a), giving up after ``PAIRING_ATTEMPTS``.
+    accepted graphs are uniform over simple pairings.  Attempt a draws from
+    ``derive_seed(seed, a)``, up to ``PAIRING_ATTEMPTS`` attempts.
     """
+    return _draw(_regular_pairing(n, r), PAIRING_ATTEMPTS, False, seed)
+
+
+def _regular_pairing(n: int, r: int):
+    """Validate an r-regular request; return stream -> Graph, or None if not simple."""
     _check_vertex_count(n)
     if r < 1:
         raise ValueError("degree r must be at least 1")
@@ -189,22 +198,26 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
     if (n * r) % 2 != 0:
         raise ValueError("n * r must be even for an r-regular graph")
     stubs = np.repeat(np.arange(n, dtype=np.int64), r)
-    for attempt in range(PAIRING_ATTEMPTS):
-        stream = Stream(derive_seed(seed, attempt))
-        keys = stream.uniforms(n * r)
-        perm = np.argsort(keys, kind="stable")
-        shuffled = stubs[perm]
+
+    def attempt(stream: Stream) -> Graph | None:
+        shuffled = stubs[np.argsort(stream.uniforms(n * r), kind="stable")]
         a, b = shuffled[0::2], shuffled[1::2]
         u, v = np.minimum(a, b), np.maximum(a, b)
-        if np.any(u == v):
-            continue
-        key = u * np.int64(n) + v
-        key.sort()
-        if np.any(key[1:] == key[:-1]):
-            continue
+        if np.any(u == v) or np.any(np.diff(np.sort(u * n + v)) == 0):
+            return None
         return _csr_from_half_edges(n, u, v)
+
+    return attempt
+
+
+def _draw(attempt, budget: int, require_connected: bool, seed: int) -> Graph:
+    """The one retry loop: up to ``budget`` attempts, as the module docstring says."""
+    for a in range(budget):
+        g = attempt(Stream(derive_seed(seed, a)))
+        if g is not None and (not require_connected or is_connected(g)):
+            return g
     raise GenerationError(
-        f"no simple {r}-regular pairing of {n} vertices in {PAIRING_ATTEMPTS} attempts")
+        f"no {'connected ' * require_connected}sample accepted in {budget} attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +312,8 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def _gnp_sampler(n: int, p: float, require_connected: bool):
-    """Validate a G(n, p) request and plan its sampler once; return seed -> Graph."""
+def _gnp_pairs(n: int, p: float, require_connected: bool):
+    """Validate a G(n, p) request and plan its sampler once; return stream -> Graph."""
     _check_vertex_count(n)
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
@@ -310,41 +323,30 @@ def _gnp_sampler(n: int, p: float, require_connected: bool):
             "connected samples will be rare in this regime",
             stacklevel=_caller_stacklevel(),
         )
-    if p > 0.0:
-        pairs = _pair_sampler(np.ones(n), 1.0 / p, False)
-    else:
-        empty = np.empty(0, np.int64)
-        pairs = lambda stream: (empty, empty)
-
-    def draw(seed: int) -> Graph:
-        for attempt in range(CONNECT_ATTEMPTS):
-            g = _csr_from_half_edges(n, *pairs(Stream(derive_seed(seed, attempt))))
-            if not require_connected or is_connected(g):
-                return g
-        raise GenerationError(
-            f"no connected G({n}, {p}) sample in {CONNECT_ATTEMPTS} attempts")
-
-    return draw
+    pairs = (_pair_sampler(np.ones(n), 1.0 / p, False) if p > 0.0
+             else lambda stream: (np.empty(0, np.int64),) * 2)
+    return lambda stream: _csr_from_half_edges(n, *pairs(stream))
 
 
 def gen_gnp(n: int, p: float, seed: int, require_connected: bool = False) -> Graph:
     """Uniform random graph: each of the C(n, 2) pairs is an edge w.p. p.
 
     This is the one-class, loop-free case of the expected-degree sampler.
-    With ``require_connected`` the sample is regenerated from a fresh
-    derived seed until connected, up to ``CONNECT_ATTEMPTS`` attempts.
+    With ``require_connected`` attempt a draws from ``derive_seed(seed, a)``
+    until one is connected, up to ``CONNECT_ATTEMPTS`` attempts.
     """
-    return _gnp_sampler(n, p, require_connected)(seed)
+    return _draw(_gnp_pairs(n, p, require_connected), CONNECT_ATTEMPTS,
+                 require_connected, seed)
 
 
-def _expected_degree_sampler(w: WeightSequence, allow_self_loops: bool, strict: bool):
-    """Validate the weights and plan their sampler once; return seed -> Graph."""
+def _expected_degree_pairs(w: WeightSequence, loops: bool, strict: bool):
+    """Validate the weights and plan their sampler once; return stream -> Graph."""
     if strict and not w.probabilities_valid():
         raise ValueError(
             f"invalid pair probabilities: max weight squared {w.max_weight**2:.6g} "
             f"exceeds total weight {w.total:.6g} (pass strict=False to clamp at 1)")
-    pairs = _pair_sampler(w.weights, w.total, allow_self_loops)
-    return lambda seed: _csr_from_half_edges(w.n, *pairs(Stream(derive_seed(seed, 0))))
+    pairs = _pair_sampler(w.weights, w.total, loops)
+    return lambda stream: _csr_from_half_edges(w.n, *pairs(stream))
 
 
 def gen_expected_degree(w: WeightSequence, seed: int, allow_self_loops: bool = True,
@@ -359,7 +361,8 @@ def gen_expected_degree(w: WeightSequence, seed: int, allow_self_loops: bool = T
     clamps each pair probability at 1 -- useful right at the m = sqrt(n*d)
     boundary, where finite-n weight sums fall a few percent short of n*d.
     """
-    return _expected_degree_sampler(w, allow_self_loops, strict)(seed)
+    return _draw(_expected_degree_pairs(w, allow_self_loops, strict), CONNECT_ATTEMPTS,
+                 False, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +416,10 @@ def weights_for(spec: GenSpec) -> WeightSequence:
 def sampler_for(spec: GenSpec):
     """Resolve a GenSpec to a seed -> Graph callable.
 
-    Family parameters are validated, and the pair sampler's class plan is
-    made, once, up front; the returned callable applies connectivity
-    conditioning when the spec asks for it (attempt a uses the derived
-    seed (s, a), giving up after ``CONNECT_ATTEMPTS``).
+    Family parameters are validated, and the family's plan made, once, up
+    front; the returned callable draws attempt a from ``derive_seed(s, a)``
+    until one is accepted (connected, if the spec asks), for up to
+    ``PAIRING_ATTEMPTS`` (random_regular) or ``CONNECT_ATTEMPTS`` attempts.
     Deterministic families ignore the seed and need no conditioning: K_n
     (n >= 2) is connected, and so is every circulant, since k >= 1 puts
     the cycle v -> v + 1 in it.
@@ -427,26 +430,14 @@ def sampler_for(spec: GenSpec):
         g = (gen_complete(spec.n) if spec.family == "complete"
              else gen_circulant(spec.n, _require(spec, "k")))
         return lambda s: g
-    if spec.family == "gnp":
-        return _gnp_sampler(spec.n, _require(spec, "p"), spec.require_connected)
+    budget = PAIRING_ATTEMPTS if spec.family == "random_regular" else CONNECT_ATTEMPTS
     if spec.family == "random_regular":
-        r = _require(spec, "r")
-        draw = lambda s: gen_random_regular(spec.n, r, s)
+        plan = _regular_pairing(spec.n, _require(spec, "r"))
+    elif spec.family == "gnp":
+        plan = _gnp_pairs(spec.n, _require(spec, "p"), spec.require_connected)
     else:
-        draw = _expected_degree_sampler(weights_for(spec), spec.allow_self_loops,
-                                        spec.strict)
-    if not spec.require_connected:
-        return draw
-
-    def conditioned(s: int) -> Graph:
-        for attempt in range(CONNECT_ATTEMPTS):
-            g = draw(derive_seed(s, attempt))
-            if is_connected(g):
-                return g
-        raise GenerationError(
-            f"no connected {spec.family} sample in {CONNECT_ATTEMPTS} attempts")
-
-    return conditioned
+        plan = _expected_degree_pairs(weights_for(spec), spec.allow_self_loops, spec.strict)
+    return partial(_draw, plan, budget, spec.require_connected)
 
 
 def generate(spec: GenSpec) -> Graph:

@@ -268,9 +268,11 @@ def is_connected(g: Graph) -> bool:
     """True when every vertex is reachable from vertex 0.
 
     A single-vertex graph is connected vacuously.  Self-loops play no role
-    in reachability.
+    in reachability.  When every vertex has at least (n - 1) / 2 neighbors
+    besides itself (a loop adds 1 to the degree, not a neighbor), any two
+    vertices are adjacent or share one, so the degrees answer without a search.
     """
-    if g.n == 1:
+    if g.n == 1 or 2 * (int(g.degrees.min()) - (g.self_loop_count > 0)) >= g.n - 1:
         return True
     visited = np.zeros(g.n, dtype=bool)
     visited[0] = True

@@ -36,7 +36,7 @@ import numpy as np
 from .generators import GenSpec, GenerationError, generate, sampler_for, weights_for
 from .graph_core import degree_statistics, is_connected
 from .moments import closed_form_moments, ensemble_estimate, er_moments, predict_scaling
-from .rng import derive_seed
+from .rng import MASK64, derive_seed
 from .walk_sim import SimConfig, verify_theorem1
 
 FORMATS = ("csv", "json")
@@ -162,7 +162,15 @@ def _as_int(value: Any, name: str) -> int:
 def _as_number(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise SpecError(f"{name} must be finite, got {value!r}")
     return float(value)
+
+
+def check_seed(seed: int) -> int:
+    if not 0 <= seed <= MASK64:
+        raise SpecError(f"seed must be a non-negative integer below 2**64, got {seed}")
+    return seed
 
 
 def _as_bool(value: Any, name: str) -> bool:
@@ -292,11 +300,11 @@ def _parse_sim(block: Any) -> dict[str, Any]:
         raise SpecError("'sim' must be an object")
     _reject_unknown(block, {"t_horizon", "beta", "replicates"}, "'sim'")
     t_horizon = _as_number(_need(block, "t_horizon", "'sim'"), "sim.t_horizon")
-    if not (math.isfinite(t_horizon) and t_horizon >= 0):
-        raise SpecError(f"sim.t_horizon must be finite and non-negative, got {t_horizon}")
+    if t_horizon < 0:
+        raise SpecError(f"sim.t_horizon must be non-negative, got {t_horizon}")
     beta = _as_number(block.get("beta", 0.0), "sim.beta")
-    if not (math.isfinite(beta) and beta >= 0):
-        raise SpecError(f"sim.beta must be finite and non-negative, got {beta}")
+    if beta < 0:
+        raise SpecError(f"sim.beta must be non-negative, got {beta}")
     replicates = _as_int(_need(block, "replicates", "'sim'"), "sim.replicates")
     if replicates < 2:
         raise SpecError(f"sim.replicates must be at least 2, got {replicates}")
@@ -348,9 +356,7 @@ def parse_spec(text: str) -> ExperimentSpec:
     if kind not in _KIND_BLOCKS:
         raise SpecError(f"unknown kind {kind!r}; expected one of {', '.join(_KIND_BLOCKS)}")
     _reject_unknown(doc, {"kind", "seed", "description", *_BLOCKS}, "spec")
-    seed = _as_int(_need(doc, "seed", "spec"), "seed")
-    if seed < 0:
-        raise SpecError(f"seed must be non-negative, got {seed}")
+    seed = check_seed(_as_int(_need(doc, "seed", "spec"), "seed"))
     description = doc.get("description")
     if description is not None and not isinstance(description, str):
         raise SpecError("description must be a string")

@@ -65,6 +65,8 @@ def asymptotic_wbar_k(gamma: float, d: float, m: float, k: int) -> float:
     """
     if k < 2:
         raise ValueError("asymptotic moments are defined for k >= 2")
+    if not all(map(math.isfinite, (gamma, d, m))):
+        raise ValueError("gamma, d and m must be finite")
     if gamma <= 2:
         raise ValueError("gamma must exceed 2")
     if d <= 0 or m <= d:

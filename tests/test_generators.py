@@ -7,6 +7,7 @@ tolerance, on graphs small enough to enumerate.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -330,6 +331,37 @@ def test_deterministic_families_are_connected_without_a_search():
         g = generate(spec)
         assert "neighbors" not in vars(g)
         assert is_connected(g)
+
+
+def test_one_attempt_loop_for_pairing_and_connectivity(monkeypatch):
+    # a perfect matching on 10 vertices is never connected: random_regular
+    # spends its pairing budget once, on simple and connected together,
+    # one stream per attempt
+    streams = []
+
+    class CountedStream(generators.Stream):
+        __slots__ = ()
+
+        def __init__(self, seed):
+            super().__init__(seed)
+            streams.append(seed)
+
+    monkeypatch.setattr(generators, "Stream", CountedStream)
+    monkeypatch.setattr(generators, "PAIRING_ATTEMPTS", 7)
+    monkeypatch.setattr(generators, "CONNECT_ATTEMPTS", 3)
+    with pytest.raises(GenerationError, match="no connected .* in 7 attempts"):
+        generate(GenSpec("random_regular", n=10, r=1, require_connected=True, seed=4))
+    assert streams == [derive_seed(4, a) for a in range(7)]
+
+
+def test_connected_draw_keeps_a_connected_first_attempt():
+    # attempt a of every family draws from derive_seed(seed, a) whether or
+    # not the spec asks for connectivity, so a connected first draw is kept
+    for spec in (GenSpec("random_regular", n=30, r=3, seed=8),
+                 GenSpec("expected_degree", n=40, gamma=3.0, d=6.0, m=10.0, seed=21)):
+        plain = generate(spec)
+        assert is_connected(plain)
+        assert generate(replace(spec, require_connected=True)) == plain
 
 
 def test_generate_unknown_family_and_missing_params():

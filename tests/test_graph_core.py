@@ -170,6 +170,19 @@ def test_is_connected():
         assert is_connected(build_graph(n, edges)) is connected
 
 
+def test_is_connected_answers_dense_graphs_from_degrees():
+    # min degree >= (n - 1) / 2 decides it, so K_n's adjacency stays unbuilt
+    g = gen_complete(50)
+    assert is_connected(g)
+    assert "neighbors" not in vars(g)
+    # a loop adds 1 to the degree but is no neighbor: two looped triangles
+    # have min degree 3 >= (6 - 1) / 2, yet only 2 neighbors per vertex
+    triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    looped = build_graph(6, triangles + [(v, v) for v in range(6)], allow_self_loops=True)
+    assert looped.degrees.min() == 3
+    assert not is_connected(looped)
+
+
 def test_graph_equality_and_hash():
     assert path3() == path3()
     assert path3() != star3()

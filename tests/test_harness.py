@@ -72,6 +72,27 @@ def test_parse_seed_rules():
         parse_spec(spec_text(seed=True))
     with pytest.raises(SpecError, match="must be an integer"):
         parse_spec(spec_text(seed=1.5))
+    # derive_seed works modulo 2**64, so seed 2**64 would replay seed 0
+    assert parse_spec(spec_text(seed=2**64 - 1)).seed == 2**64 - 1
+    with pytest.raises(SpecError, match="below 2\\*\\*64"):
+        parse_spec(spec_text(seed=2**64))
+
+
+def test_parse_rejects_non_finite_numbers(tmp_path, capsys):
+    # json.loads accepts NaN and Infinity; the spec error names the key
+    graph = {"family": "expected_degree", "n": 100, "gamma": 2.5, "d": 3.0, "m": 10.0}
+    for key, token in (("gamma", "NaN"), ("d", "Infinity"), ("m", "-Infinity")):
+        text = spec_text(graph={**graph, key: "@"}).replace('"@"', token)
+        with pytest.raises(SpecError, match=f"graph.{key} must be finite"):
+            parse_spec(text)
+    (tmp_path / "nan.json").write_text(text, encoding="utf-8")
+    assert main(["analyze", "--spec", str(tmp_path / "nan.json")]) == EXIT_SPEC
+    assert "graph.m must be finite" in capsys.readouterr().err
+    for key, token in (("t_horizon", "NaN"), ("beta", "Infinity")):
+        sim = {"t_horizon": 1.0, "replicates": 10, key: "@"}
+        text = spec_text(kind="simulate", sim=sim).replace('"@"', token)
+        with pytest.raises(SpecError, match=f"sim.{key} must be finite"):
+            parse_spec(text)
 
 
 def test_parse_graph_families():
@@ -383,6 +404,8 @@ def test_cli_seed_override_changes_rows(tmp_path, capsys):
     main(["analyze", "--spec", path, "--seed", "8"])
     assert capsys.readouterr().out != base
     assert main(["analyze", "--spec", path, "--seed", "-3"]) == EXIT_SPEC
+    assert main(["analyze", "--spec", path, "--seed", str(2**64)]) == EXIT_SPEC
+    assert f"below 2**64, got {2**64}" in capsys.readouterr().err
 
 
 def test_cli_partial_failure_exit(tmp_path, capsys):
@@ -433,6 +456,10 @@ def test_cli_predict(capsys):
     assert cells["regime"] == "gamma_below_3"
     assert cells["growth_exponent_in_md"] == "0.5"
     assert main(["predict", "--gamma", "1.5", "--d", "5", "--m", "500"]) == EXIT_SPEC
+    capsys.readouterr()
+    for gamma, d, m in (("nan", "5", "500"), ("2.5", "nan", "500"), ("2.5", "5", "inf")):
+        assert main(["predict", "--gamma", gamma, "--d", d, "--m", m]) == EXIT_SPEC
+        assert "must be finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,9 @@ def test_asymptotic_validation():
         asymptotic_wbar_k(2.0, 2.0, 20.0, 2)
     with pytest.raises(ValueError, match="0 < d < m"):
         asymptotic_wbar_k(3.0, 20.0, 2.0, 2)
+    for args in ((math.nan, 2.0, 20.0), (3.0, 2.0, math.inf), (math.inf, 2.0, 20.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            asymptotic_wbar_k(*args, 2)
     with pytest.raises(ValueError, match="at least 1"):
         empirical_wbar_k(uniform_weights(3, 1.0), 0)
 

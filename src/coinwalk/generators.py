@@ -180,9 +180,11 @@ def _circulant_neighbors(n: int, k: int) -> np.ndarray:
 def gen_random_regular(n: int, r: int, seed: int) -> Graph:
     """Random r-regular graph by pairing stubs, rejecting imperfect samples.
 
-    Each attempt pairs the n*r vertex stubs uniformly at random and is
-    rejected wholesale if it produced a self-loop or a duplicate edge, so
-    accepted graphs are uniform over simple pairings.  Attempt a draws from
+    Stub j belongs to vertex j // r.  Each attempt draws one uniform key
+    per stub, orders the n*r stubs by key -- ascending, ties in index order
+    -- and pairs them two by two in that order.  It is rejected wholesale
+    if it produced a self-loop or a duplicate edge, so accepted graphs are
+    uniform over simple pairings.  Attempt a draws from
     ``derive_seed(seed, a)``, up to ``PAIRING_ATTEMPTS`` attempts.
     """
     return _draw(_regular_pairing(n, r), PAIRING_ATTEMPTS, False, seed)
@@ -197,17 +199,34 @@ def _regular_pairing(n: int, r: int):
         raise ValueError("degree r must be below n")
     if (n * r) % 2 != 0:
         raise ValueError("n * r must be even for an r-regular graph")
-    stubs = np.repeat(np.arange(n, dtype=np.int64), r)
 
     def attempt(stream: Stream) -> Graph | None:
-        shuffled = stubs[np.argsort(stream.uniforms(n * r), kind="stable")]
-        a, b = shuffled[0::2], shuffled[1::2]
-        u, v = np.minimum(a, b), np.maximum(a, b)
+        u, v = _stub_pairs(n, r, stream)
         if np.any(u == v) or np.any(np.diff(np.sort(u * n + v)) == 0):
             return None
         return _csr_from_half_edges(n, u, v)
 
     return attempt
+
+
+def _stub_pairs(n: int, r: int, stream: Stream) -> tuple[np.ndarray, np.ndarray]:
+    """One stub pairing as canonical pairs u <= v, loops and repeats included.
+
+    The order is the one :func:`gen_random_regular` states.  Distinct keys
+    have one ascending order, which numpy's default (unstable, vectorized)
+    argsort finds; only when two keys tie -- for n*r keys, with probability
+    about (n r)**2 / 2**54 -- is the stable sort needed to put them in
+    index order.
+    """
+    keys = stream.uniforms(n * r)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(keys, kind="stable")
+    del keys, ranked  # the keys are not needed to pair, so do not hold them
+    order //= r
+    a, b = order[0::2], order[1::2]
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 def _draw(attempt, budget: int, require_connected: bool, seed: int) -> Graph:

@@ -162,9 +162,14 @@ def _as_int(value: Any, name: str) -> int:
 def _as_number(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        out = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise SpecError(f"{name} must be finite, got an integer of "
+                        f"{len(str(value))} digits") from None
+    if not math.isfinite(out):
         raise SpecError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return out
 
 
 def check_seed(seed: int) -> int:
@@ -350,6 +355,8 @@ def parse_spec(text: str) -> ExperimentSpec:
         raise SpecError(
             f"spec is not valid JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise SpecError(f"spec is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecError("spec must be a JSON object")
     kind = _need(doc, "kind", "spec")

@@ -10,9 +10,10 @@ to the horizon, and the infection probability is 1 - exp(-beta * tau).
 The simulation runs on the merged event process: with two independent
 rate-1 clocks, events arrive at rate 2 and a fair coin decides which
 walker jumps.  Coincidence accrues between events, where positions are
-constant.  Both engines keep the walkers' positions, streams and jump
-counts as pairs indexed by the mover (0 for X, 1 for Y), so an event
-touches only the mover's entries.
+constant.  Both engines keep the walkers' positions and streams as pairs
+indexed by the mover (0 for X, 1 for Y), so an event touches only the
+mover's entries.  The scalar engine counts each walker's jumps; the batch
+engine counts Y's jumps and the lockstep steps, whose difference is X's.
 
 Draw order: every replicate owns three derived streams, one for events
 and one per walker.  Each walker first draws its initial vertex from its
@@ -23,7 +24,7 @@ stream leaves the other walker's trajectory bit-identical.
 ``simulate_pair`` is the scalar reference; ``simulate_batch`` runs many
 replicates in vectorized lockstep and produces bit-identical results
 replicate for replicate, for any chunk size (both paths evaluate the
-same numpy kernels on the same draws).
+same numpy kernels, or exact rewrites of them, on the same draws).
 """
 
 from __future__ import annotations
@@ -179,11 +180,13 @@ def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
     """Advance one chunk of replicates in lockstep until all cross the horizon.
 
     Lane i's walker state is row i of the C-contiguous (lanes, 2) arrays
-    ``streams``, ``pos`` and ``jumps``, so flat index 2*i + mover names
-    the one entry an event changes.  A lane that crosses the horizon is
-    written to the output slice and compacted away.  Stream states advance
-    by the splitmix64 increment only where a lane actually draws, which is
-    what keeps every lane bit-identical to the scalar path.
+    ``streams`` and ``pos``, so flat index 2*i + mover names the one entry
+    an event changes.  Every live lane jumps once per step, so the lane
+    keeps only Y's jump count and X's is the step count minus it.  A lane
+    that crosses the horizon is written to the output slice and compacted
+    away.  Stream states advance by the splitmix64 increment only where a
+    lane actually draws, which is what keeps every lane bit-identical to
+    the scalar path.
     """
     taus_out, jumps_out, final_out = out
     total = cum[-1]
@@ -192,13 +195,14 @@ def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
     ev = derive_seeds(rep_seeds, 0)
     streams = derive_seeds(rep_seeds[:, None], [1, 2]) + GAMMA_U64
     pos = np.searchsorted(cum, uniform_from_u64(mix64_vec(streams)) * total, side="right")
-    jumps = np.zeros(pos.shape, dtype=np.int64)
+    jumps_y = np.zeros(rep_seeds.size, dtype=np.int64)
     t = np.zeros(rep_seeds.size)
     tau = np.zeros(rep_seeds.size)
     idx = np.arange(rep_seeds.size)
     lanes2 = 2 * idx
+    step = 0
     while True:
-        ev = ev + GAMMA_U64
+        ev += GAMMA_U64
         dt = -0.5 * np.log1p(-uniform_from_u64(mix64_vec(ev)))
         t_next = t + dt
         tau = tau + np.where(pos[:, 0] == pos[:, 1], np.minimum(t_next, t_horizon) - t, 0.0)
@@ -206,29 +210,34 @@ def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
         if crossed.any():
             done = base + idx[crossed]
             taus_out[done] = tau[crossed]
-            jumps_out[done] = jumps[crossed]
+            jy = jumps_y[crossed]
+            jumps_out[done, 0] = step - jy
+            jumps_out[done, 1] = jy
             final_out[done] = pos[crossed]
-            keep = ~crossed
-            if not keep.any():
+            live = np.flatnonzero(~crossed)
+            if not live.size:
                 return
-            ev, streams, pos, jumps = ev[keep], streams[keep], pos[keep], jumps[keep]
-            idx, t_next, tau = idx[keep], t_next[keep], tau[keep]
-            lanes2 = lanes2[:idx.size]
+            # take() along axis 0: boolean masks copy (lanes, 2) rows an order slower
+            ev, streams, pos, jumps_y, idx, t_next, tau = (
+                a.take(live, axis=0) for a in (ev, streams, pos, jumps_y, idx, t_next, tau))
+            lanes2 = lanes2[:live.size]
         t = t_next
         # Row selection keeps the (lanes, 2) arrays C-contiguous, so these
         # reshapes are views and writes through them reach the state.
-        streams_f, pos_f, jumps_f = streams.reshape(-1), pos.reshape(-1), jumps.reshape(-1)
-        ev = ev + GAMMA_U64
+        streams_f, pos_f = streams.reshape(-1), pos.reshape(-1)
+        ev += GAMMA_U64
         # The coin's uniform is >= 1/2 (Y moves) exactly when its word's top bit is set.
-        flat = lanes2 + (mix64_vec(ev) >> _TOP_BIT).view(np.int64)
+        coin = (mix64_vec(ev) >> _TOP_BIT).view(np.int64)
+        jumps_y += coin
+        step += 1
+        flat = lanes2 + coin
         state = streams_f[flat] + GAMMA_U64
         streams_f[flat] = state
         v = pos_f[flat]
         deg = degs_f[v]
-        k = np.minimum((uniform_from_u64(mix64_vec(state)) * deg).astype(np.int64),
-                       deg.astype(np.int64) - 1)
+        # min(floor(x), deg - 1) == floor(min(x, deg - 1)): the clamp on one gather
+        k = np.minimum(uniform_from_u64(mix64_vec(state)) * deg, deg - 1.0).astype(np.int64)
         pos_f[flat] = nbrs[offs[v] + k]
-        jumps_f[flat] += 1
 
 
 def simulate_batch(g: Graph, cfg: SimConfig) -> ReplicateBatch:

@@ -6,6 +6,7 @@ thousand replicates must match min(1, w_u w_v / W) within Monte Carlo
 tolerance, on graphs small enough to enumerate.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -90,6 +91,64 @@ def test_random_regular_validation(monkeypatch):
     monkeypatch.setattr(generators, "PAIRING_ATTEMPTS", 0)
     with pytest.raises(GenerationError, match="0 attempts"):
         gen_random_regular(10, 3, seed=0)
+
+
+def quantized_stream(bins):
+    """A Stream whose block uniforms are rounded down to multiples of 1/bins."""
+
+    class QuantizedStream(generators.Stream):
+        __slots__ = ()
+
+        def uniforms(self, size):
+            return np.floor(super().uniforms(size) * bins) / bins
+
+    return QuantizedStream
+
+
+def stable_stub_pairs(keys, r):
+    stubs = np.argsort(keys, kind="stable") // r
+    a, b = stubs[0::2], stubs[1::2]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def test_stub_pairing_puts_tied_keys_in_index_order():
+    # keys in eighths tie in long runs, which a sort that is not stable
+    # orders freely; the pairing must be the one of keys ascending, ties
+    # in index order
+    n, r, stream = 400, 3, quantized_stream(8)
+    for seed in range(3):
+        u, v = generators._stub_pairs(n, r, stream(seed))
+        ref_u, ref_v = stable_stub_pairs(stream(seed).uniforms(n * r), r)
+        assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
+        assert np.any(u == v)  # loops included
+        assert np.unique(u * n + v).size < u.size  # and repeats
+
+
+def test_stub_pairing_attempt_matches_the_stable_sort_under_ties():
+    # keys in 4096ths tie in a few dozen pairs per attempt, and some
+    # attempts are still simple; each must give the stable sort's graph
+    n, r, stream = 400, 3, quantized_stream(4096)
+    attempt = generators._regular_pairing(n, r)
+    simple = 0
+    for seed in range(40):
+        keys = stream(seed).uniforms(n * r)
+        assert np.unique(keys).size < keys.size
+        u, v = stable_stub_pairs(keys, r)
+        got = attempt(stream(seed))
+        if np.any(u == v) or np.unique(u * n + v).size < u.size:
+            assert got is None
+        else:
+            simple += 1
+            assert got == build_graph(n, np.stack([u, v], axis=1))
+    assert simple >= 2
+
+
+def test_random_regular_graph_is_frozen():
+    # 60000 stub keys, far more than the golden CLI specs sort
+    g = gen_random_regular(20000, 3, seed=7)
+    assert g.offsets.dtype == np.int64 and g.neighbors.dtype == np.int32
+    digest = hashlib.sha256(g.offsets.tobytes() + g.neighbors.tobytes()).hexdigest()
+    assert digest == "3b7ec498f8ac96103c27b61437efd8e4036fd49ce481cc85e1ad96b4704426d7"
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,25 @@ def test_parse_rejects_non_finite_numbers(tmp_path, capsys):
             parse_spec(text)
 
 
+def test_cli_rejects_integers_beyond_the_float_range(tmp_path, capsys):
+    # json.loads reads 1e400 written out as an exact int, which float() cannot hold
+    huge = "1" + "0" * 400
+    path = tmp_path / "huge.json"
+    gnp = {"family": "gnp", "n": 5, "p": 0.5}
+    for kind, doc, key in (
+            ("analyze", {"graph": {**gnp, "p": "@"}}, "graph.p"),
+            ("simulate", {"graph": gnp, "sim": {"t_horizon": "@", "replicates": 10}},
+             "sim.t_horizon")):
+        path.write_text(spec_text(kind=kind, **doc).replace('"@"', huge), encoding="utf-8")
+        assert main([kind, "--spec", str(path)]) == EXIT_SPEC
+        assert f"{key} must be finite, got an integer of 401 digits" in capsys.readouterr().err
+    # past Python's int digit limit the JSON parser itself refuses the literal
+    path.write_text(spec_text(graph={**gnp, "p": "@"}).replace('"@"', "1" * 5000),
+                    encoding="utf-8")
+    assert main(["analyze", "--spec", str(path)]) == EXIT_SPEC
+    assert "spec is not valid JSON" in capsys.readouterr().err
+
+
 def test_parse_graph_families():
     circ = parse_spec(spec_text(graph={"family": "circulant", "n": 9, "k": [1, 2]}))
     assert circ.graph["k"] == [1, 2]

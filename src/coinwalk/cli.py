@@ -15,8 +15,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .harness import (ResultRow, SpecError, check_seed, emit, fill_row, load_spec,
-                      run_experiment)
+from .harness import (FORMATS, ResultRow, SpecError, check_seed, emit, fill_row,
+                      load_spec, run_experiment)
 from .moments import predict_scaling
 
 EXIT_OK = 0
@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--spec", required=True, metavar="FILE",
                          help="JSON experiment spec (its kind must match this subcommand)")
         cmd.add_argument("--out", metavar="FILE", help="output file (default stdout)")
-        cmd.add_argument("--format", choices=["csv", "json"], default="csv",
+        cmd.add_argument("--format", choices=FORMATS, default="csv",
                          help="output format (default csv)")
         cmd.add_argument("--seed", type=int,
                          help="master seed (overrides the spec)")
@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--d", type=float, required=True, help="mean expected degree (> 0)")
     pred.add_argument("--m", type=float, required=True, help="maximum expected degree (> d)")
     pred.add_argument("--out", metavar="FILE", help="output file (default stdout)")
-    pred.add_argument("--format", choices=["csv", "json"], default="csv")
+    pred.add_argument("--format", choices=FORMATS, default="csv")
     return parser
 
 

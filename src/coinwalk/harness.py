@@ -34,7 +34,7 @@ from typing import Any
 import numpy as np
 
 from .generators import GenSpec, GenerationError, generate, sampler_for, weights_for
-from .graph_core import degree_statistics, is_connected
+from .graph_core import MAX_VERTICES, degree_statistics, is_connected
 from .moments import closed_form_moments, ensemble_estimate, er_moments, predict_scaling
 from .rng import MASK64, derive_seed
 from .walk_sim import SimConfig, verify_theorem1
@@ -52,7 +52,8 @@ class ResultRow:
 
     Field order defines the output column order.  ``wall_time_s`` is
     measured per point but excluded from emission so that output bytes
-    depend only on the spec.
+    depend only on the spec; perfbench's tracer reads it for
+    ``harness.point_s_max``, so removing it needs a benchmark change.
     """
 
     row: int | None = None
@@ -200,6 +201,13 @@ def _check_positive_int(value: Any, name: str) -> int:
     return out
 
 
+def _check_vertex_count(value: Any, name: str) -> int:
+    out = _check_positive_int(value, name)
+    if out > MAX_VERTICES:  # refused before float(n) or math.sqrt(n * d) can overflow
+        raise SpecError(f"{name} must be at most {MAX_VERTICES}, got {len(str(out))} digits")
+    return out
+
+
 def _check_probability(value: Any, name: str) -> float:
     out = _as_number(value, name)
     if not 0.0 <= out <= 1.0:
@@ -230,7 +238,7 @@ def _check_m(value: Any, name: str) -> float | str:
 #: Grid parameters with the converter that validates each value.  Key
 #: order is the grid's expansion order: the first present one varies slowest.
 _PARAMS = {
-    "n": _check_positive_int,
+    "n": _check_vertex_count,
     "k": _check_positive_int,
     "r": _check_positive_int,
     "p": _check_probability,

@@ -114,6 +114,21 @@ def test_cli_rejects_integers_beyond_the_float_range(tmp_path, capsys):
     assert "spec is not valid JSON" in capsys.readouterr().err
 
 
+def test_cli_refuses_vertex_counts_beyond_the_bound(tmp_path, capsys):
+    # Unbounded, such an n overflowed float(n) in er_moments or math.sqrt(n * d)
+    # in expand_grid and ended the CLI with a traceback.
+    huge = "1" + "0" * 400
+    path = tmp_path / "huge.json"
+    for kind, doc, key in (
+            ("analyze", {"graph": {"family": "gnp", "n": "@", "p": 0.5}}, "graph.n"),
+            ("sweep", {"sweep": {"n": "@", "gamma": 2.5, "d": 3.0, "m": "sqrt_nd"}},
+             "sweep.n")):
+        text = json.dumps({"kind": kind, "seed": 1, **doc}).replace('"@"', huge)
+        path.write_text(text, encoding="utf-8")
+        assert main([kind, "--spec", str(path)]) == EXIT_SPEC
+        assert f"{key} must be at most {MAX_VERTICES}" in capsys.readouterr().err
+
+
 def test_parse_graph_families():
     circ = parse_spec(spec_text(graph={"family": "circulant", "n": 9, "k": [1, 2]}))
     assert circ.graph["k"] == [1, 2]
@@ -200,9 +215,8 @@ def test_uniform_weights_respect_the_vertex_bound():
         gen_expected_degree(uniform_weights(n, 1e-6), 1)
     doc = {"kind": "analyze", "seed": 1,
            "graph": {"family": "expected_degree", "n": n, "w": 1e-6}}
-    (row,) = run_experiment(parse_spec(json.dumps(doc)))
-    assert "exceeds supported maximum" in row.error
-    assert row.D is None and row.ED is None
+    with pytest.raises(SpecError, match=f"graph.n must be at most {MAX_VERTICES}"):
+        parse_spec(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@
 
 Usage (from the root of a checkout):
 
-    python3 tools/bench_ab.py --parent a7b6e78 --seed 31 --out BENCH_10.json
+    python3 tools/bench_ab.py --parent e3e5f6d --seed 111 --out BENCH_11.json
 
 The parent commit is exported with ``git archive`` into a temporary
 directory, and the working tree's files (tracked or untracked, not ignored)
 are copied into another, so both sides run from fresh directories on the
-same file system.  For every workload of ``BENCHMARK.json``, the
+same file system.  Each side first runs the Tier-1 suite once
+(``PYTHONPATH=src python -m pytest -q -p no:cacheprovider --durations=5``),
+which records its wall seconds, passed and failed counts and five slowest
+tests.  Then, for every workload of ``BENCHMARK.json``, the
 unmodified ``perfbench/run.py --trace 0`` runs for the benchmark's
 ``run_seconds`` in ``PAIRS`` pairs: once in each directory, alternating
 which side goes first, with seed ``SEED + i`` on both sides of pair i.  After the pairs, one
@@ -48,6 +51,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INVOCATION = re.compile(r"^invocation \d+: seed=(\d+) .* sha256=([0-9a-f]*)$")
+DURATION = re.compile(r"^([0-9.]+)s (\w+) +(.+)$")
+OUTCOME = re.compile(r"(\d+) (passed|failed)")
 PAIRS = 10
 
 
@@ -94,6 +99,21 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
         elif line.startswith("  failed: "):  # perfbench prints these under their invocation
             result["failures"].append({"seed": int(seed), "reason": line[10:]})
     return result
+
+
+def run_tier1(tree: Path) -> dict:
+    """Tier-1 once in ``tree``: wall seconds, exit code, outcome counts, slowest tests."""
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=5"]
+    start = time.monotonic()
+    proc = subprocess.run(argv, cwd=tree, env={**os.environ, "PYTHONPATH": "src"},
+                          capture_output=True, text=True, timeout=3600)
+    wall_s = time.monotonic() - start
+    lines = proc.stdout.splitlines()
+    counts = dict((kind, int(num)) for num, kind in OUTCOME.findall(lines[-1] if lines else ""))
+    slowest = [{"seconds": float(m.group(1)), "phase": m.group(2), "test": m.group(3)}
+               for m in map(DURATION.match, lines) if m]
+    return {"wall_s": wall_s, "exit": proc.returncode, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0), "slowest": slowest}
 
 
 def spread(values: list[float]) -> dict:
@@ -143,6 +163,10 @@ def main(argv: list[str] | None = None) -> int:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         export(parent, trees["parent"])
         snapshot(trees["change"])
+        report["tier1"] = {side: run_tier1(trees[side]) for side in trees}
+        for side, tier1 in report["tier1"].items():
+            print(f"tier1 {side}: {tier1['passed']} passed, {tier1['failed']} failed, "
+                  f"exit {tier1['exit']}, {tier1['wall_s']:.1f} s", flush=True)
         for name in (w["name"] for w in bench["workloads"]):
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             for i in range(PAIRS):

@@ -43,7 +43,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .graph_core import Graph, _check_vertex_count, _csr_from_half_edges, _freeze, is_connected
-from .rng import Stream, derive_seed
+from .rng import MASK64, Stream, derive_seed
 
 #: Most geometric gaps the pair sampler draws at once; bounds its memory.
 _CHUNK = 1 << 16
@@ -212,18 +212,32 @@ def _regular_pairing(n: int, r: int):
 def _stub_pairs(n: int, r: int, stream: Stream) -> tuple[np.ndarray, np.ndarray]:
     """One stub pairing as canonical pairs u <= v, loops and repeats included.
 
-    The order is the one :func:`gen_random_regular` states.  Distinct keys
-    have one ascending order, which numpy's default (unstable, vectorized)
-    argsort finds; only when two keys tie -- for n*r keys, with probability
-    about (n r)**2 / 2**54 -- is the stable sort needed to put them in
-    index order.
+    The order is the one :func:`gen_random_regular` states, found by one
+    sort of uint64 words: each word holds the stub's key ``keys * 2**53``
+    (exact, 53 bits) in its top bits and the stub index in its low
+    ``b = bit_length(n*r - 1)`` bits, so when ``b > 11`` the key keeps only
+    its top ``64 - b`` bits.  Words then sort by truncated key and index.
+    Stubs whose truncated keys tie -- about ``(n r)**2 / 2**(65 - b)`` pairs
+    per attempt -- are re-sorted among themselves by full key and index;
+    every other stub already has its final rank.
     """
     keys = stream.uniforms(n * r)
-    order = np.argsort(keys)
-    ranked = keys[order]
-    if np.any(ranked[1:] == ranked[:-1]):
-        order = np.argsort(keys, kind="stable")
-    del keys, ranked  # the keys are not needed to pair, so do not hold them
+    bits = (keys.size - 1).bit_length()
+    words = np.empty(keys.size, dtype=np.uint64)
+    np.multiply(keys, 2.0 ** 53, out=words, casting="unsafe")
+    words <<= np.uint64(11)
+    words &= np.uint64(MASK64 ^ ((1 << bits) - 1))
+    words |= np.arange(keys.size, dtype=np.uint64)
+    words.sort()
+    # Adjacent words share a truncated key exactly when their xor is below 2**bits.
+    tied = np.flatnonzero((words[1:] ^ words[:-1]) < np.uint64(1 << bits))
+    words &= np.uint64((1 << bits) - 1)
+    order = words.view(np.int64)
+    if tied.size:
+        at = np.union1d(tied, tied + 1)
+        stubs = order[at]
+        order[at] = stubs[np.lexsort((stubs, keys[stubs]))]
+    del keys  # the keys are not needed to pair, so do not hold them
     order //= r
     a, b = order[0::2], order[1::2]
     return np.minimum(a, b), np.maximum(a, b)

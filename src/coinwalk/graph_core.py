@@ -32,6 +32,11 @@ import numpy as np
 #: sort keys in int64, and bounds memory to something a workstation can hold.
 MAX_VERTICES = 10**7
 
+#: Largest replicate count a spec may ask for (``sim.replicates``,
+#: ``ensemble.replicates``, ``sweep.seeds_per_point``); like MAX_VERTICES, it
+#: keeps each per-replicate array to something a workstation can hold.
+MAX_REPLICATES = 10**7
+
 
 class Graph:
     """Undirected graph in CSR form.  Instances are immutable.

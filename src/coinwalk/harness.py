@@ -34,7 +34,7 @@ from typing import Any
 import numpy as np
 
 from .generators import GenSpec, GenerationError, generate, sampler_for, weights_for
-from .graph_core import MAX_VERTICES, degree_statistics, is_connected
+from .graph_core import MAX_REPLICATES, MAX_VERTICES, degree_statistics, is_connected
 from .moments import closed_form_moments, ensemble_estimate, er_moments, predict_scaling
 from .rng import MASK64, derive_seed
 from .walk_sim import SimConfig, verify_theorem1
@@ -194,17 +194,14 @@ def _scalar_or_list(value: Any, name: str, convert) -> list:
     return [convert(value, name)]
 
 
-def _check_positive_int(value: Any, name: str) -> int:
+def _check_count(value: Any, name: str, low: int = 1, high: int = MAX_VERTICES) -> int:
+    """An integer in [low, high].  Refused before float(n), math.sqrt(n * d)
+    or an array of that many replicates can overflow."""
     out = _as_int(value, name)
-    if out < 1:
-        raise SpecError(f"{name} must be at least 1, got {out}")
-    return out
-
-
-def _check_vertex_count(value: Any, name: str) -> int:
-    out = _check_positive_int(value, name)
-    if out > MAX_VERTICES:  # refused before float(n) or math.sqrt(n * d) can overflow
-        raise SpecError(f"{name} must be at most {MAX_VERTICES}, got {len(str(out))} digits")
+    if out < low:
+        raise SpecError(f"{name} must be at least {low}, got {out}")
+    if out > high:
+        raise SpecError(f"{name} must be at most {high}, got {len(str(out))} digits")
     return out
 
 
@@ -238,9 +235,9 @@ def _check_m(value: Any, name: str) -> float | str:
 #: Grid parameters with the converter that validates each value.  Key
 #: order is the grid's expansion order: the first present one varies slowest.
 _PARAMS = {
-    "n": _check_vertex_count,
-    "k": _check_positive_int,
-    "r": _check_positive_int,
+    "n": _check_count,
+    "k": _check_count,
+    "r": _check_count,
     "p": _check_probability,
     "gamma": _check_gamma,
     "d": _check_positive,
@@ -304,7 +301,8 @@ def _parse_sweep(block: Any) -> dict[str, Any]:
     keys = ("n", "gamma", "d", "m", "allow_self_loops", "strict")
     _reject_unknown(block, {*keys, "seeds_per_point"}, "'sweep'")
     graph = {"family": "expected_degree", **_parse_keys(block, keys, "sweep")}
-    seeds = _check_positive_int(block.get("seeds_per_point", 1), "sweep.seeds_per_point")
+    seeds = _check_count(block.get("seeds_per_point", 1), "sweep.seeds_per_point",
+                         high=MAX_REPLICATES)
     return {"graph": graph, "seeds_per_point": seeds}
 
 
@@ -318,9 +316,8 @@ def _parse_sim(block: Any) -> dict[str, Any]:
     beta = _as_number(block.get("beta", 0.0), "sim.beta")
     if beta < 0:
         raise SpecError(f"sim.beta must be non-negative, got {beta}")
-    replicates = _as_int(_need(block, "replicates", "'sim'"), "sim.replicates")
-    if replicates < 2:
-        raise SpecError(f"sim.replicates must be at least 2, got {replicates}")
+    replicates = _check_count(_need(block, "replicates", "'sim'"), "sim.replicates",
+                              low=2, high=MAX_REPLICATES)
     return {"sim": {"t_horizon": t_horizon, "beta": beta, "replicates": replicates}}
 
 
@@ -328,9 +325,8 @@ def _parse_ensemble(block: Any) -> dict[str, Any]:
     if not isinstance(block, dict):
         raise SpecError("'ensemble' must be an object")
     _reject_unknown(block, {"replicates"}, "'ensemble'")
-    replicates = _as_int(_need(block, "replicates", "'ensemble'"), "ensemble.replicates")
-    if replicates < 2:
-        raise SpecError(f"ensemble.replicates must be at least 2, got {replicates}")
+    replicates = _check_count(_need(block, "replicates", "'ensemble'"), "ensemble.replicates",
+                              low=2, high=MAX_REPLICATES)
     return {"ensemble_replicates": replicates}
 
 

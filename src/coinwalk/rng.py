@@ -48,11 +48,28 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def mix64_into(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Finalize uint64 states ``z`` into ``out``, with ``tmp`` as scratch.
+
+    The in-place form of :func:`mix64_vec`: all three arrays have z's shape
+    and dtype uint64, ``out`` may be ``z`` itself, and ``tmp`` is distinct
+    from both.  It allocates nothing and returns ``out``.
+    """
+    np.right_shift(z, _S30, out=tmp)
+    np.bitwise_xor(z, tmp, out=out)
+    out *= _M1_U64
+    np.right_shift(out, _S27, out=tmp)
+    out ^= tmp
+    out *= _M2_U64
+    np.right_shift(out, _S31, out=tmp)
+    out ^= tmp
+    return out
+
+
 def mix64_vec(z: np.ndarray) -> np.ndarray:
     """Finalize an array of uint64 states (vectorized path)."""
-    z = (z ^ (z >> _S30)) * _M1_U64
-    z = (z ^ (z >> _S27)) * _M2_U64
-    return z ^ (z >> _S31)
+    out = np.empty_like(z)
+    return mix64_into(z, out, np.empty_like(out))
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -118,8 +135,11 @@ class Stream:
         """Block of ``size`` floats in [0, 1); advances the state by ``size``."""
         if size < 0:
             raise ValueError("size must be non-negative")
-        steps = np.arange(1, size + 1, dtype=np.uint64) * GAMMA_U64
-        words = mix64_vec(np.uint64(self.state) + steps)
+        # Mixed in place: a block of 3e7 keys (n*r at MAX_VERTICES) is 240 MB.
+        words = np.arange(1, size + 1, dtype=np.uint64)
+        words *= GAMMA_U64
+        words += np.uint64(self.state)
+        mix64_into(words, words, np.empty_like(words))
         self.state = (self.state + size * GOLDEN_GAMMA) & MASK64
         return uniform_from_u64(words)
 

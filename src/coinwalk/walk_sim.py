@@ -14,6 +14,10 @@ constant.  Both engines keep the walkers' positions and streams as pairs
 indexed by the mover (0 for X, 1 for Y), so an event touches only the
 mover's entries.  The scalar engine counts each walker's jumps; the batch
 engine counts Y's jumps and the lockstep steps, whose difference is X's.
+The batch engine adds to tau only on the lanes where the walkers meet,
+and compacts lazily: a lane past the horizon is written out once and
+masked off, and the finished lanes are dropped together once a fixed
+share of the chunk is done, not at every step where one finishes.
 
 Draw order: every replicate owns three derived streams, one for events
 and one per walker.  Each walker first draws its initial vertex from its
@@ -35,11 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import Graph, theorem1_bounds
-from .rng import GAMMA_U64, Stream, derive_seed, derive_seeds, mix64_vec, uniform_from_u64
+from .rng import (GAMMA_U64, U53_INV, Stream, derive_seed, derive_seeds, mix64_into, mix64_vec,
+                  uniform_from_u64)
 
 #: Replicates that ``simulate_batch`` advances in lockstep at a time.  It
 #: bounds the engine's working memory; results do not depend on it.
 CHUNK_SIZE = 1 << 15
+
+#: Share of a chunk's lanes that must be done before they are compacted away.
+_COMPACT_SHARE = 0.25
 
 _TOP_BIT = np.uint64(63)
 
@@ -185,64 +193,101 @@ def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
     """Advance one chunk of replicates in lockstep until all cross the horizon.
 
     Lane i's walker state is row i of the C-contiguous (lanes, 2) arrays
-    ``streams`` and ``pos``, so flat index 2*i + mover names the one entry
-    an event changes.  Every live lane jumps once per step, so the lane
-    keeps only Y's jump count and X's is the step count minus it.  A lane
-    that crosses the horizon is written to the output slice and compacted
-    away.  Stream states advance by the splitmix64 increment only where a
-    lane actually draws, which is what keeps every lane bit-identical to
-    the scalar path.
+    ``streams`` and ``pos`` (vertex ids in the adjacency's int32), so flat
+    index 2*i + mover names the one entry an event changes.  Every lane
+    jumps once per step, so the lane keeps only Y's jump count and X's is
+    the step count minus it.  Coincidence is added only on the lanes whose
+    walkers share a vertex, found with ``flatnonzero``.  Stream states
+    advance by the splitmix64 increment only where a lane actually draws,
+    which is what keeps every lane bit-identical to the scalar path.
+
+    Compaction is lazy.  A lane that crosses the horizon is written to the
+    output slice once and masked off by ``alive``; it keeps stepping, but
+    nothing reads its state again.  Only when ``_COMPACT_SHARE`` of the
+    lanes are done does one ``take`` per state array drop them all.  The
+    per-step words and floats live in scratch buffers that are reused, not
+    reallocated.
     """
     taus_out, jumps_out, final_out = out
     total = cum[-1]
     offs, nbrs = g.offsets, g.neighbors
     degs_f = g.degrees.astype(np.float64)
+    width = rep_seeds.size
     ev = derive_seeds(rep_seeds, 0)
     streams = derive_seeds(rep_seeds[:, None], [1, 2]) + GAMMA_U64
-    pos = np.searchsorted(cum, uniform_from_u64(mix64_vec(streams)) * total, side="right")
-    jumps_y = np.zeros(rep_seeds.size, dtype=np.int64)
-    t = np.zeros(rep_seeds.size)
-    tau = np.zeros(rep_seeds.size)
-    idx = np.arange(rep_seeds.size)
+    pos = np.searchsorted(cum, uniform_from_u64(mix64_vec(streams)) * total,
+                          side="right").astype(nbrs.dtype)
+    jumps_y = np.zeros(width, dtype=np.int64)
+    t = np.zeros(width)
+    tau = np.zeros(width)
+    idx = np.arange(width)
+    alive = np.ones(width, dtype=bool)
     lanes2 = 2 * idx
+    word, tmp = np.empty(width, dtype=np.uint64), np.empty(width, dtype=np.uint64)
+    u, t_next = np.empty(width), np.empty(width)
+    flat = np.empty(width, dtype=np.int64)
+    dead = 0
     step = 0
     while True:
         ev += GAMMA_U64
-        dt = -0.5 * np.log1p(-uniform_from_u64(mix64_vec(ev)))
-        t_next = t + dt
-        tau = tau + np.where(pos[:, 0] == pos[:, 1], np.minimum(t_next, t_horizon) - t, 0.0)
-        crossed = t_next >= t_horizon
-        if crossed.any():
-            done = base + idx[crossed]
-            taus_out[done] = tau[crossed]
-            jy = jumps_y[crossed]
+        # dt = -0.5 * log1p(-uniform), the negation folded into the scale
+        _scale_top53(mix64_into(ev, word, tmp), -U53_INV, u)
+        np.log1p(u, out=u)
+        u *= -0.5
+        np.add(t, u, out=t_next)
+        meet = np.flatnonzero(pos[:, 0] == pos[:, 1])
+        if meet.size:
+            tau[meet] += np.minimum(t_next.take(meet), t_horizon) - t.take(meet)
+        ended = np.flatnonzero((t_next >= t_horizon) & alive)
+        if ended.size:
+            alive[ended] = False
+            done = base + idx.take(ended)
+            taus_out[done] = tau.take(ended)
+            jy = jumps_y.take(ended)
             jumps_out[done, 0] = step - jy
             jumps_out[done, 1] = jy
-            final_out[done] = pos[crossed]
-            live = np.flatnonzero(~crossed)
-            if not live.size:
+            final_out[done] = pos.take(ended, axis=0)
+            dead += ended.size
+            if dead == width:
                 return
-            # take() along axis 0: boolean masks copy (lanes, 2) rows an order slower
-            ev, streams, pos, jumps_y, idx, t_next, tau = (
-                a.take(live, axis=0) for a in (ev, streams, pos, jumps_y, idx, t_next, tau))
-            lanes2 = lanes2[:live.size]
-        t = t_next
+            if dead >= _COMPACT_SHARE * width:
+                live = np.flatnonzero(alive)
+                # take() along axis 0: boolean masks copy (lanes, 2) rows an order slower
+                ev, streams, pos, jumps_y, idx, t_next, tau = (
+                    a.take(live, axis=0) for a in (ev, streams, pos, jumps_y, idx, t_next, tau))
+                width, dead = live.size, 0
+                alive, lanes2, word, tmp, u, t, flat = (
+                    a[:width] for a in (alive, lanes2, word, tmp, u, t, flat))
+                alive[:] = True
+        t, t_next = t_next, t
         # Row selection keeps the (lanes, 2) arrays C-contiguous, so these
         # reshapes are views and writes through them reach the state.
         streams_f, pos_f = streams.reshape(-1), pos.reshape(-1)
         ev += GAMMA_U64
         # The coin's uniform is >= 1/2 (Y moves) exactly when its word's top bit is set.
-        coin = (mix64_vec(ev) >> _TOP_BIT).view(np.int64)
+        coin = np.right_shift(mix64_into(ev, word, tmp), _TOP_BIT, out=word).view(np.int64)
         jumps_y += coin
         step += 1
-        flat = lanes2 + coin
-        state = streams_f[flat] + GAMMA_U64
+        np.add(lanes2, coin, out=flat)
+        state = streams_f.take(flat)
+        state += GAMMA_U64
         streams_f[flat] = state
-        v = pos_f[flat]
-        deg = degs_f[v]
+        # take() converts int32 indices on every call: one conversion serves both gathers
+        v = pos_f.take(flat).astype(np.intp)
+        deg = degs_f.take(v)
+        _scale_top53(mix64_into(state, word, tmp), U53_INV, u)
+        u *= deg
+        deg -= 1.0
         # min(floor(x), deg - 1) == floor(min(x, deg - 1)): the clamp on one gather
-        k = np.minimum(uniform_from_u64(mix64_vec(state)) * deg, deg - 1.0).astype(np.int64)
-        pos_f[flat] = nbrs[offs[v] + k]
+        k = np.minimum(u, deg, out=u).astype(np.int64)
+        k += offs.take(v)
+        pos_f[flat] = nbrs.take(k)
+
+
+def _scale_top53(words: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """``uniform_from_u64(words) * scale`` into ``out``, shifting ``words`` in place."""
+    np.right_shift(words, 11, out=words)
+    return np.multiply(words, scale, out=out)
 
 
 def simulate_batch(g: Graph, cfg: SimConfig) -> ReplicateBatch:

@@ -143,6 +143,40 @@ def test_stub_pairing_attempt_matches_the_stable_sort_under_ties():
     assert simple >= 2
 
 
+def perturbed_stream(bins, spread):
+    """A Stream whose block uniforms sit on multiples of 1/bins, each raised
+    by a random 0 .. spread - 1 units of 2**-53."""
+
+    class PerturbedStream(generators.Stream):
+        __slots__ = ()
+
+        def uniforms(self, size):
+            base = np.floor(super().uniforms(size) * bins) / bins
+            lift = np.floor(super().uniforms(size) * spread)
+            return base + lift * 2.0 ** -53
+
+    return PerturbedStream
+
+
+def test_packed_stub_sort_reorders_keys_tied_only_after_truncation():
+    # 15000 stubs leave 14 index bits, so a word keeps the top 50 of a key's
+    # 53 bits: keys on one multiple of 1/2**16 that differ by under 8 units
+    # of 2**-53 tie in their words and must still come out by full key
+    n, r = 5000, 3
+    stream = perturbed_stream(1 << 16, 8)
+    for seed in range(3):
+        keys = stream(seed).uniforms(n * r)
+        assert (keys.size - 1).bit_length() == 14
+        truncated = (keys * 2.0 ** 53).astype(np.uint64) >> np.uint64(3)
+        _, runs = np.unique(truncated, return_counts=True)
+        assert runs.max() >= 3  # a tied run of three or more keys
+        assert np.unique(keys).size > np.unique(truncated).size  # ties only after truncation
+        assert np.unique(keys).size < keys.size  # and full-key ties, in index order
+        u, v = generators._stub_pairs(n, r, stream(seed))
+        ref_u, ref_v = stable_stub_pairs(keys, r)
+        assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
+
+
 def test_random_regular_graph_is_frozen():
     # 60000 stub keys, far more than the golden CLI specs sort
     g = gen_random_regular(20000, 3, seed=7)

@@ -9,7 +9,7 @@ import pytest
 
 from coinwalk.cli import EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_SPEC, main
 from coinwalk.generators import gen_expected_degree, uniform_weights
-from coinwalk.graph_core import MAX_VERTICES
+from coinwalk.graph_core import MAX_REPLICATES, MAX_VERTICES
 from coinwalk.harness import (
     COLUMNS,
     SpecError,
@@ -127,6 +127,38 @@ def test_cli_refuses_vertex_counts_beyond_the_bound(tmp_path, capsys):
         path.write_text(text, encoding="utf-8")
         assert main([kind, "--spec", str(path)]) == EXIT_SPEC
         assert f"{key} must be at most {MAX_VERTICES}" in capsys.readouterr().err
+
+
+#: (spec document with "@" where the count goes, key, bound of the count)
+COUNTED_KEYS = [
+    ({"kind": "simulate", "graph": {"family": "complete", "n": 4},
+      "sim": {"t_horizon": 1.0, "replicates": "@"}}, "sim.replicates", MAX_REPLICATES),
+    ({"kind": "ensemble", "graph": {"family": "complete", "n": 4},
+      "ensemble": {"replicates": "@"}}, "ensemble.replicates", MAX_REPLICATES),
+    ({"kind": "sweep", "sweep": {"n": 100, "gamma": 2.5, "d": 3.0, "m": 10.0,
+                                 "seeds_per_point": "@"}}, "sweep.seeds_per_point",
+     MAX_REPLICATES),
+    ({"kind": "analyze", "graph": {"family": "random_regular", "n": 10, "r": "@"}},
+     "graph.r", MAX_VERTICES),
+    ({"kind": "analyze", "graph": {"family": "circulant", "n": 10, "k": "@"}},
+     "graph.k", MAX_VERTICES),
+]
+
+
+@pytest.mark.parametrize("doc, key, bound", COUNTED_KEYS, ids=[c[1] for c in COUNTED_KEYS])
+def test_cli_refuses_counts_beyond_their_bound(doc, key, bound, tmp_path, capsys):
+    # Unbounded, a 401-digit count passed parsing and every grid point then
+    # failed as an error row when numpy refused an array of that size.
+    def spec(count):
+        return json.dumps({"seed": 1, **doc}).replace('"@"', count)
+
+    assert parse_spec(spec(str(bound)))  # the bound itself is allowed
+    with pytest.raises(SpecError, match=f"{key} must be at most {bound}"):
+        parse_spec(spec(str(bound + 1)))
+    path = tmp_path / "huge.json"
+    path.write_text(spec("1" + "0" * 400), encoding="utf-8")
+    assert main([doc["kind"], "--spec", str(path)]) == EXIT_SPEC
+    assert f"{key} must be at most {bound}, got 401 digits" in capsys.readouterr().err
 
 
 def test_parse_graph_families():

@@ -19,6 +19,7 @@ from coinwalk.rng import (
     derive_seed,
     derive_seeds,
     mix64,
+    mix64_into,
     mix64_vec,
     uniform_from_u64,
 )
@@ -69,6 +70,23 @@ def test_scalar_and_vector_mix_agree():
     vec = mix64_vec(words.copy())
     scal = np.array([mix64(int(w)) for w in words], dtype=np.uint64)
     assert np.array_equal(vec, scal)
+
+
+def test_in_place_mix_matches_scalar_mix():
+    # edge words, counter states k * gamma, and random words; out may alias z
+    rng = np.random.default_rng(11)
+    words = np.concatenate([
+        np.array([0, MASK64, 1, 1 << 63], dtype=np.uint64),
+        np.arange(1, 65, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA),
+        rng.integers(0, 2**64, size=1000, dtype=np.uint64, endpoint=False),
+    ])
+    want = np.array([mix64(int(w)) for w in words], dtype=np.uint64)
+    z, out, tmp = words.copy(), np.empty_like(words), np.empty_like(words)
+    assert mix64_into(z, out, tmp) is out
+    assert np.array_equal(out, want) and np.array_equal(z, words)
+    assert mix64_into(z, z, tmp) is z
+    assert np.array_equal(z, want)
+    assert np.array_equal(mix64_vec(words), want)
 
 
 def test_uniform_block_matches_scalar_draws():

@@ -15,7 +15,7 @@ import pytest
 from coinwalk import walk_sim
 from coinwalk.generators import gen_complete, gen_gnp
 from coinwalk.graph_core import build_graph
-from coinwalk.rng import derive_seed, derive_seeds
+from coinwalk.rng import derive_seed, derive_seeds, mix64_into
 from coinwalk.walk_sim import (
     CoincidenceResult,
     SimConfig,
@@ -167,6 +167,26 @@ def test_batch_chunk_size_is_invisible(monkeypatch):
     assert np.array_equal(a.jumps_y, b.jumps_y)
     assert np.array_equal(a.final_x, b.final_x)
     assert np.array_equal(a.final_y, b.final_y)
+
+
+def test_batch_compacts_finished_lanes_lazily(monkeypatch):
+    # Every step mixes one word per lane, so the mixed arrays' sizes are the
+    # chunk's widths step by step.  Finished lanes must be dropped, but only
+    # a quarter or more of the lanes at a time: compacting on every crossing
+    # costs more than stepping the finished lanes does.
+    widths = []
+
+    def recording_mix(z, out, tmp):
+        widths.append(z.size)
+        return mix64_into(z, out, tmp)
+
+    monkeypatch.setattr(walk_sim, "mix64_into", recording_mix)
+    simulate_batch(gen_complete(5), SimConfig(t_horizon=20.0, replicates=400, master_seed=9))
+    sizes = sorted(set(widths), reverse=True)
+    assert sizes[0] == 400 and len(sizes) >= 3
+    assert np.all(np.diff(widths) <= 0)
+    for wide, narrow in zip(sizes, sizes[1:]):
+        assert wide - narrow >= wide / 4
 
 
 def test_batch_prefix_property():

@@ -381,9 +381,13 @@ def parse_spec(text: str) -> ExperimentSpec:
 
 
 def load_spec(path: str) -> ExperimentSpec:
-    """Read and parse a spec file."""
+    """Read and parse a spec file, which must be UTF-8 text."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecError(f"spec is not UTF-8 text: byte {exc.start} cannot be decoded") from exc
+    return parse_spec(text)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +498,21 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
+def _json_value(value: Any) -> Any:
+    """A JSON value for a cell; a non-finite float becomes its CSV text."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _cell(value)
+    return value
+
+
 def emit(rows: list[ResultRow], fmt: str = "csv", path: str | None = None) -> str:
     """Serialize rows to CSV or JSON; optionally also write them to a file.
 
     Output is byte-deterministic: fixed column order, repr float
     formatting (shortest round-trip decimal), lowercase booleans, empty
-    cell / null for absent values, and "\\n" line endings.
+    cell / null for absent values, and "\\n" line endings.  JSON has no
+    infinity or NaN, so a non-finite float is written there as the string
+    its CSV cell holds ("inf", "-inf" or "nan").
     """
     if not rows:
         raise ValueError("no rows to emit")
@@ -513,8 +526,8 @@ def emit(rows: list[ResultRow], fmt: str = "csv", path: str | None = None) -> st
             writer.writerow([_cell(getattr(row, name)) for name in COLUMNS])
         text = buf.getvalue()
     else:
-        records = [{name: getattr(row, name) for name in COLUMNS} for row in rows]
-        text = json.dumps(records, indent=2) + "\n"
+        records = [{name: _json_value(getattr(row, name)) for name in COLUMNS} for row in rows]
+        text = json.dumps(records, indent=2, allow_nan=False) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -125,8 +125,8 @@ def er_moments(n: int, p: float) -> ClosedFormMoments:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not (0.0 < p <= 1.0):
-        raise ValueError("p must lie in (0, 1]")
+    if not (0.0 <= p <= 1.0):
+        raise ValueError("p must lie in [0, 1]")
     nf = float(n)
     return ClosedFormMoments(
         ED=nf**2 * p,

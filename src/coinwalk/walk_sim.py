@@ -10,25 +10,25 @@ to the horizon, and the infection probability is 1 - exp(-beta * tau).
 The simulation runs on the merged event process: with two independent
 rate-1 clocks, events arrive at rate 2 and a fair coin decides which
 walker jumps.  Coincidence accrues between events, where positions are
-constant.  Both engines keep the walkers' positions and streams as pairs
-indexed by the mover (0 for X, 1 for Y), so an event touches only the
-mover's entries.  The scalar engine counts each walker's jumps; the batch
-engine counts Y's jumps and the lockstep steps, whose difference is X's.
-The batch engine adds to tau only on the lanes where the walkers meet,
-and compacts lazily: a lane past the horizon is written out once and
-masked off, and the finished lanes are dropped together once a fixed
-share of the chunk is done, not at every step where one finishes.
+constant.  Both engines keep the walkers' positions as pairs indexed by
+the mover (0 for X, 1 for Y), so an event touches only the mover's
+entry.  The scalar engine counts each walker's jumps; the batch engine
+counts Y's jumps and the lockstep steps, whose difference is X's.  The
+batch engine adds to tau only on the lanes where the walkers meet, and
+compacts lazily: a lane past the horizon is written out once and masked
+off, and the finished lanes are dropped together once a fixed share of
+the chunk is done, not at every step where one finishes.
 
-Draw order: every replicate owns three derived streams, one for events
-and one per walker.  Each walker first draws its initial vertex from its
-own stream; each event then draws a holding time from the event stream
-and, unless the horizon was crossed, a coin (below 1/2 moves X) and then
-the destination from the mover's own stream.  So replacing one walker's
-stream leaves the other walker's trajectory bit-identical.
-``simulate_pair`` is the scalar reference; ``simulate_batch`` runs many
-replicates in vectorized lockstep and produces bit-identical results
-replicate for replicate, for any chunk size (both paths evaluate the
-same numpy kernels, or exact rewrites of them, on the same draws).
+Draw order: every replicate owns one splitmix64 stream, seeded with the
+replicate seed.  It first draws X's initial vertex, then Y's; each event
+then draws a holding time and, unless the horizon was crossed, a coin
+(below 1/2 moves X) and then the mover's destination.  Every draw comes
+from its own counter position of the stream, so the two walkers' draws
+are distinct.  ``simulate_pair`` is the scalar reference;
+``simulate_batch`` runs many replicates in vectorized lockstep and
+produces bit-identical results replicate for replicate, for any chunk
+size (both paths evaluate the same numpy kernels, or exact rewrites of
+them, on the same draws).
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import Graph, theorem1_bounds
-from .rng import (GAMMA_U64, U53_INV, Stream, derive_seed, derive_seeds, mix64_into, mix64_vec,
-                  uniform_from_u64)
+from .rng import GAMMA_U64, U53_INV, Stream, derive_seeds, mix64_into, mix64_vec, uniform_from_u64
 
 #: Replicates that ``simulate_batch`` advances in lockstep at a time.  It
 #: bounds the engine's working memory; results do not depend on it.
@@ -111,8 +110,8 @@ class Theorem1Check:
 
     The score divides by the standard error of the same tau sample, so its
     signed form has a heavy left tail when few replicates coincide: on
-    3-regular n = 2e5 at t = 100 about 52 of 1e5 do, and the simulate_walkers
-    benchmark spec with ``--seed 34010`` gives 5.12 on correct code.
+    3-regular n = 2e5 at t = 100 about 52 of 1e5 do, and scores above 5
+    have been seen there on correct code.
     """
 
     mean_tau: float
@@ -134,23 +133,9 @@ def _stationary_cumsum(g: Graph) -> np.ndarray:
 def simulate_pair(g: Graph, t_horizon: float, beta: float, seed: int) -> CoincidenceResult:
     """Run one replicate event by event (scalar reference path).
 
-    The replicate's three streams are derived as (seed, 0) for events,
-    (seed, 1) for walker X and (seed, 2) for walker Y.  All float
-    arithmetic goes through the same numpy scalar kernels the batch path
-    uses, so results match ``simulate_batch`` bit for bit.
-    """
-    return _simulate_streams(g, t_horizon, beta, derive_seed(seed, 0),
-                             derive_seed(seed, 1), derive_seed(seed, 2))
-
-
-def _simulate_streams(g: Graph, t_horizon: float, beta: float,
-                      ev_seed: int, x_seed: int, y_seed: int) -> CoincidenceResult:
-    """Scalar engine over explicit stream seeds.
-
-    Exposing the three seeds separately makes the stream-isolation
-    property testable: walker Y's trajectory is a function of the event
-    stream and Y's stream only, so changing ``x_seed`` must leave Y's
-    jump count and final vertex bit-identical.
+    Every draw comes from ``Stream(seed)`` in the module's draw order.  All
+    float arithmetic goes through the same numpy scalar kernels the batch
+    path uses, so results match ``simulate_batch`` bit for bit.
     """
     if t_horizon < 0:
         raise ValueError("t_horizon must be non-negative")
@@ -160,26 +145,25 @@ def _simulate_streams(g: Graph, t_horizon: float, beta: float,
             tau=float(t_horizon),
             infection_prob=float(-np.expm1(-beta * t_horizon)),
             jumps_x=0, jumps_y=0, final_x=0, final_y=0)
-    ev = Stream(ev_seed)
-    streams = (Stream(x_seed), Stream(y_seed))
+    stream = Stream(seed)
     total = cum[-1]
-    pos = [int(np.searchsorted(cum, s.uniform() * total, side="right")) for s in streams]
+    pos = [int(np.searchsorted(cum, stream.uniform() * total, side="right")) for _ in range(2)]
     jumps = [0, 0]
     offs, nbrs, degs = g.offsets, g.neighbors, g.degrees
     t = 0.0
     tau = 0.0
     while True:
-        dt = -0.5 * float(np.log1p(-ev.uniform()))
+        dt = -0.5 * float(np.log1p(-stream.uniform()))
         t_next = t + dt
         if pos[0] == pos[1]:
             tau += min(t_next, t_horizon) - t
         if t_next >= t_horizon:
             break
         t = t_next
-        mover = int(ev.uniform() >= 0.5)
+        mover = int(stream.uniform() >= 0.5)
         v = pos[mover]
         deg = int(degs[v])
-        k = min(int(streams[mover].uniform() * float(deg)), deg - 1)
+        k = min(int(stream.uniform() * float(deg)), deg - 1)
         pos[mover] = int(nbrs[offs[v] + k])
         jumps[mover] += 1
     return CoincidenceResult(
@@ -192,14 +176,14 @@ def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
                     rep_seeds: np.ndarray, out: tuple[np.ndarray, ...], base: int) -> None:
     """Advance one chunk of replicates in lockstep until all cross the horizon.
 
-    Lane i's walker state is row i of the C-contiguous (lanes, 2) arrays
-    ``streams`` and ``pos`` (vertex ids in the adjacency's int32), so flat
+    Lane i's stream state is ``state[i]``, which starts at the replicate
+    seed, and its walkers' positions are row i of the C-contiguous
+    (lanes, 2) array ``pos`` (vertex ids in the adjacency's int32), so flat
     index 2*i + mover names the one entry an event changes.  Every lane
-    jumps once per step, so the lane keeps only Y's jump count and X's is
-    the step count minus it.  Coincidence is added only on the lanes whose
-    walkers share a vertex, found with ``flatnonzero``.  Stream states
-    advance by the splitmix64 increment only where a lane actually draws,
-    which is what keeps every lane bit-identical to the scalar path.
+    draws three words and jumps once per step, so the lane keeps only Y's
+    jump count and X's is the step count minus it.  Coincidence is added
+    only on the lanes whose walkers share a vertex, found with
+    ``flatnonzero``.
 
     Compaction is lazy.  A lane that crosses the horizon is written to the
     output slice once and masked off by ``alive``; it keeps stepping, but
@@ -213,10 +197,12 @@ def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
     offs, nbrs = g.offsets, g.neighbors
     degs_f = g.degrees.astype(np.float64)
     width = rep_seeds.size
-    ev = derive_seeds(rep_seeds, 0)
-    streams = derive_seeds(rep_seeds[:, None], [1, 2]) + GAMMA_U64
-    pos = np.searchsorted(cum, uniform_from_u64(mix64_vec(streams)) * total,
-                          side="right").astype(nbrs.dtype)
+    state = rep_seeds.copy()
+    pos = np.empty((width, 2), dtype=nbrs.dtype)
+    for walker in (0, 1):
+        state += GAMMA_U64
+        pos[:, walker] = np.searchsorted(cum, uniform_from_u64(mix64_vec(state)) * total,
+                                         side="right")
     jumps_y = np.zeros(width, dtype=np.int64)
     t = np.zeros(width)
     tau = np.zeros(width)
@@ -229,9 +215,9 @@ def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
     dead = 0
     step = 0
     while True:
-        ev += GAMMA_U64
+        state += GAMMA_U64
         # dt = -0.5 * log1p(-uniform), the negation folded into the scale
-        _scale_top53(mix64_into(ev, word, tmp), -U53_INV, u)
+        _scale_top53(mix64_into(state, word, tmp), -U53_INV, u)
         np.log1p(u, out=u)
         u *= -0.5
         np.add(t, u, out=t_next)
@@ -253,28 +239,26 @@ def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
             if dead >= _COMPACT_SHARE * width:
                 live = np.flatnonzero(alive)
                 # take() along axis 0: boolean masks copy (lanes, 2) rows an order slower
-                ev, streams, pos, jumps_y, idx, t_next, tau = (
-                    a.take(live, axis=0) for a in (ev, streams, pos, jumps_y, idx, t_next, tau))
+                state, pos, jumps_y, idx, t_next, tau = (
+                    a.take(live, axis=0) for a in (state, pos, jumps_y, idx, t_next, tau))
                 width, dead = live.size, 0
                 alive, lanes2, word, tmp, u, t, flat = (
                     a[:width] for a in (alive, lanes2, word, tmp, u, t, flat))
                 alive[:] = True
         t, t_next = t_next, t
-        # Row selection keeps the (lanes, 2) arrays C-contiguous, so these
-        # reshapes are views and writes through them reach the state.
-        streams_f, pos_f = streams.reshape(-1), pos.reshape(-1)
-        ev += GAMMA_U64
+        # Row selection keeps ``pos`` C-contiguous, so this reshape is a
+        # view and writes through it reach the positions.
+        pos_f = pos.reshape(-1)
+        state += GAMMA_U64
         # The coin's uniform is >= 1/2 (Y moves) exactly when its word's top bit is set.
-        coin = np.right_shift(mix64_into(ev, word, tmp), _TOP_BIT, out=word).view(np.int64)
+        coin = np.right_shift(mix64_into(state, word, tmp), _TOP_BIT, out=word).view(np.int64)
         jumps_y += coin
         step += 1
         np.add(lanes2, coin, out=flat)
-        state = streams_f.take(flat)
-        state += GAMMA_U64
-        streams_f[flat] = state
         # take() converts int32 indices on every call: one conversion serves both gathers
         v = pos_f.take(flat).astype(np.intp)
         deg = degs_f.take(v)
+        state += GAMMA_U64
         _scale_top53(mix64_into(state, word, tmp), U53_INV, u)
         u *= deg
         deg -= 1.0

@@ -3,13 +3,15 @@
 import hashlib
 import json
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
 
 from coinwalk.cli import EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_SPEC, main
-from coinwalk.generators import gen_expected_degree, uniform_weights
-from coinwalk.graph_core import MAX_REPLICATES, MAX_VERTICES
+from coinwalk.generators import gen_complete, gen_expected_degree, uniform_weights
+from coinwalk.graph_core import MAX_REPLICATES, MAX_VERTICES, build_graph
 from coinwalk.harness import (
     COLUMNS,
     SpecError,
@@ -19,7 +21,8 @@ from coinwalk.harness import (
     parse_spec,
     run_experiment,
 )
-from coinwalk.rng import derive_seed
+from coinwalk.rng import Stream, derive_seed
+from coinwalk.walk_sim import SimConfig, simulate_pair
 
 
 def spec_text(**overrides):
@@ -417,6 +420,36 @@ def test_emit_json_round_trip():
     assert records[0]["error"] is None
 
 
+def simulate_spec(t_horizon):
+    return spec_text(kind="simulate", graph={"family": "random_regular", "n": 1000, "r": 3},
+                     sim={"t_horizon": t_horizon, "replicates": 2})
+
+
+def strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_emit_json_writes_non_finite_floats_as_their_csv_cells():
+    # Neither replicate coincides in so short a run, so the standard error
+    # is 0 while the mean misses the positive prediction: the z-score is inf.
+    rows = run_experiment(parse_spec(simulate_spec(0.01)))
+    assert rows[0].tau_z_score == math.inf
+    cells = dict(zip(COLUMNS, emit(rows, fmt="csv").split("\n")[1].split(",")))
+    records = strict_json(emit(rows, fmt="json"))
+    assert records[0]["tau_z_score"] == cells["tau_z_score"] == "inf"
+    assert records[0]["mean_tau"] == 0.0
+
+
+def test_zero_horizon_gives_zero_z_score():
+    # tau is 0 on every replicate and the prediction is 0 too: no error at all
+    rows = run_experiment(parse_spec(simulate_spec(0)))
+    assert rows[0].stderr_tau == 0.0
+    assert rows[0].tau_z_score == 0.0
+    assert strict_json(emit(rows, fmt="json"))[0]["tau_z_score"] == 0.0
+
+
 def test_emit_validation():
     with pytest.raises(ValueError, match="no rows"):
         emit([], fmt="csv")
@@ -458,6 +491,23 @@ def test_cli_invalid_spec(tmp_path, capsys):
     assert main(["analyze", "--spec", str(bad)]) == EXIT_SPEC
     assert "not valid JSON" in capsys.readouterr().err
     assert main(["analyze", "--spec", str(tmp_path / "missing.json")]) == EXIT_IO
+
+
+def test_cli_rejects_a_spec_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"kind": "analyze"}')
+    assert main(["analyze", "--spec", str(bad)]) == EXIT_SPEC
+    assert "spec is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_cli_ensemble_of_empty_gnp_graphs(tmp_path, capsys):
+    # p = 0 is a valid G(n, p): every graph is empty and every moment is 0
+    path = write_spec(tmp_path, kind="ensemble", seed=1, graph={"family": "gnp", "n": 5, "p": 0},
+                      ensemble={"replicates": 3})
+    assert main(["ensemble", "--spec", path, "--format", "json"]) == EXIT_OK
+    record = json.loads(capsys.readouterr().out)[0]
+    for key in ("ED", "VarD", "ED2", "VarD2_bound", "mean_D"):
+        assert record[key] == 0.0, key
 
 
 def test_cli_seed_override_changes_rows(tmp_path, capsys):
@@ -527,6 +577,48 @@ def test_cli_predict(capsys):
         assert "must be finite" in capsys.readouterr().err
 
 
+#: (input, the message it is refused with).  A callable must raise a
+#: ValueError; a spec document goes through the CLI, which must exit 2.
+REJECTIONS = [
+    (partial(parse_spec, spec_text(graph={"family": "gnp", "n": 5, "p": "half"})),
+     "graph.p must be a number"),
+    (partial(parse_spec, spec_text(graph={"family": "gnp", "n": 5, "p": 0.5,
+                                          "require_connected": "yes"})),
+     "graph.require_connected must be true or false"),
+    (partial(parse_spec, spec_text(graph={"family": "expected_degree", "n": 5, "w": 0})),
+     "graph.w must be positive"),
+    (partial(parse_spec, spec_text(graph=[])), "'graph' must be an object"),
+    (partial(parse_spec, json.dumps({"kind": "sweep", "seed": 1, "sweep": []})),
+     "'sweep' must be an object"),
+    (partial(parse_spec, spec_text(kind="simulate", sim=[])), "'sim' must be an object"),
+    (partial(parse_spec, spec_text(kind="ensemble", ensemble=[])),
+     "'ensemble' must be an object"),
+    ({"kind": "simulate", "seed": 1, "graph": {"family": "complete", "n": 4},
+      "sim": {"t_horizon": -1.0, "replicates": 10}},
+     "sim.t_horizon must be non-negative"),
+    (partial(parse_spec, spec_text(kind="simulate",
+                                   sim={"t_horizon": 1.0, "beta": -0.5, "replicates": 10})),
+     "sim.beta must be non-negative"),
+    (partial(parse_spec, spec_text(description=5)), "description must be a string"),
+    (partial(build_graph, 3, [(0, 1, 2)]), "edges must be pairs"),
+    (partial(Stream(1).uniforms, -1), "size must be non-negative"),
+    (partial(SimConfig, t_horizon=1.0, master_seed=-1), "master_seed must be non-negative"),
+    (partial(simulate_pair, gen_complete(3), -1.0, 0.0, 1), "t_horizon must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("given, message", REJECTIONS, ids=[m for _, m in REJECTIONS])
+def test_invalid_input_is_refused(given, message, tmp_path, capsys):
+    if isinstance(given, dict):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(given), encoding="utf-8")
+        assert main([given["kind"], "--spec", str(path)]) == EXIT_SPEC
+        assert message in capsys.readouterr().err
+    else:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            given()
+
+
 # ---------------------------------------------------------------------------
 # golden output bytes
 
@@ -577,8 +669,8 @@ GOLDEN_SHA256 = {
         "bc20acc30e5b697dcaf42ea6f1bad9c19a548c57d0c8471bbe93f7db21251a3a",
         "806f6032b624817e1ecb067962215b8165c54617926f281528328845302c2c2c"),
     "simulate-random-regular": (
-        "4a5d11ee9dad5e73849fa8717315cf471bdc85f008ad5c2b689cda30b90f04dc",
-        "6fad9a68de4c04e26d0068de42d36593f73193fe4bb3a2d2a44e30b029bdc299"),
+        "146e6b6613474faca3fe62bd573b821d4645e62c1c80cd5dfc128109e6391397",
+        "9fddb150a61f92e082fd7fa8611c414c03224e0a9cc5d7dbbc62950db61186a1"),
     "ensemble-expected-degree-w": (
         "132f161d7e6430d61bfddb4c1cc382f6c0ec2d8e83582845253df81210486222",
         "95fa57028a280e00959365071a2ab1594dc555ec885233c4a5c009a6eacf7014"),

@@ -19,6 +19,7 @@ import pytest
 from coinwalk.generators import GenSpec, WeightSequence, power_law_weights, uniform_weights
 from coinwalk.moments import (
     BOUNDARY_TOL,
+    ClosedFormMoments,
     REGIME_ABOVE_3,
     REGIME_AT_3,
     REGIME_BELOW_3,
@@ -123,8 +124,8 @@ def test_er_moments_reference_point():
     assert er.VarD2_bound == pytest.approx(8 * 10**4 * 0.125 + 2 * 10**3 * 0.25)
     with pytest.raises(ValueError):
         er_moments(0, 0.5)
-    with pytest.raises(ValueError):
-        er_moments(10, 0.0)
+    # an empty G(n, 0) has every moment exactly zero
+    assert er_moments(10, 0.0) == ClosedFormMoments(ED=0.0, VarD=0.0, ED2=0.0, VarD2_bound=0.0)
     with pytest.raises(ValueError):
         er_moments(10, 1.5)
 

@@ -15,11 +15,10 @@ import pytest
 from coinwalk import walk_sim
 from coinwalk.generators import gen_complete, gen_gnp
 from coinwalk.graph_core import build_graph
-from coinwalk.rng import derive_seed, derive_seeds, mix64_into
+from coinwalk.rng import derive_seeds, mix64_into
 from coinwalk.walk_sim import (
     CoincidenceResult,
     SimConfig,
-    _simulate_streams,
     simulate_batch,
     simulate_pair,
     verify_theorem1,
@@ -80,43 +79,14 @@ def test_single_vertex_graph_coincides_always():
 
 def test_k2_determinism_and_flip_parity():
     # on K_2 every jump flips the walker, so the final gap is determined by
-    # the initial gap and the total jump parity
+    # the initial gap and the total jump parity; at horizon 0 the same seed
+    # stops before the first jump, so its final vertices are the start ones
     res = simulate_pair(gen_complete(2), 50.0, 0.0, seed=11)
-    init = _simulate_streams(gen_complete(2), 0.0, 0.0,
-                             ev_seed=derive_seed(11, 0),
-                             x_seed=derive_seed(11, 1),
-                             y_seed=derive_seed(11, 2))
+    init = simulate_pair(gen_complete(2), 0.0, 0.0, seed=11)
     started_together = init.final_x == init.final_y
     parity_even = (res.jumps_x + res.jumps_y) % 2 == 0
     assert (res.final_x == res.final_y) == (started_together == parity_even)
     assert res == simulate_pair(gen_complete(2), 50.0, 0.0, seed=11)
-
-
-def test_walker_streams_are_isolated():
-    # changing X's stream must not perturb Y's trajectory, and vice versa
-    g = gen_gnp(30, 0.2, seed=9)
-    base = _simulate_streams(g, 20.0, 0.0, ev_seed=100, x_seed=200, y_seed=300)
-    x_changed = _simulate_streams(g, 20.0, 0.0, ev_seed=100, x_seed=201, y_seed=300)
-    y_changed = _simulate_streams(g, 20.0, 0.0, ev_seed=100, x_seed=200, y_seed=301)
-    assert x_changed.jumps_y == base.jumps_y
-    assert x_changed.final_y == base.final_y
-    assert y_changed.jumps_x == base.jumps_x
-    assert y_changed.final_x == base.final_x
-    assert x_changed.final_x != base.final_x or x_changed.jumps_x != base.jumps_x
-
-
-def test_simulate_pair_seed_decomposition():
-    # simulate_pair(seed) is _simulate_streams on the three derived streams
-    g = star3()
-    seed = 1337
-    direct = simulate_pair(g, 15.0, 0.3, seed=seed)
-    spelled = _simulate_streams(
-        g, 15.0, 0.3,
-        ev_seed=derive_seed(seed, 0),
-        x_seed=derive_seed(seed, 1),
-        y_seed=derive_seed(seed, 2),
-    )
-    assert direct == spelled
 
 
 # ---------------------------------------------------------------------------

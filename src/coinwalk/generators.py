@@ -20,6 +20,12 @@ sorted-weight envelope of Miller & Hagberg (WAW 2011):
   classes, a triangle within one (with its diagonal when self-loops are
   allowed) -- is walked in row-major order by geometric gaps under its
   envelope p = min(1, w_A0 * w_B0 / W), the probability of its first pair;
+* a candidate's row-major index L in its block becomes its pair by integer
+  division in a rectangle of width c (row L // c, column L - c * (L // c)),
+  and in a triangle by the closed form k = floor((sqrt(8R + 1) - 1) / 2),
+  R counted back from the triangle's end (see ``_triangle_pairs``), which
+  float64 computes exactly because 8R + 1 < 2**52 for every side up to
+  MAX_VERTICES + 1;
 * each candidate pair is kept with probability q / p, where q is its exact
   probability; within a block q / p is at least 1/4.
 
@@ -257,36 +263,66 @@ def _draw(attempt, budget: int, require_connected: bool, seed: int) -> Graph:
 # independent-pair models: one exact sampler
 
 
-def _triangle_bases(n: int) -> np.ndarray:
-    """Row starts of the strict upper triangle in row-major linear order."""
-    i = np.arange(n, dtype=np.int64)
-    return i * n - i * (i + 1) // 2
+def _rectangle_pairs(linear: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Invert row-major linear indices of a rectangle ``width`` wide to (i, j)."""
+    i = linear // width
+    return i, linear - i * width
 
 
-def _pairs_from_linear(linear: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Invert row-major strict-upper-triangle linear indices to (i, j).
+def _triangle_pairs(linear: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Invert row-major linear indices L of a strict upper triangle to (i, j).
 
-    ``bases`` are the triangle's row starts, from :func:`_triangle_bases`.
+    Counted back from the triangle's end, R = side(side-1)/2 - 1 - L, row
+    side-2-k holds the k+1 indices with k(k+1)/2 <= R < (k+1)(k+2)/2, so
+    k = floor((sqrt(8R+1) - 1) / 2), i = side-2-k and j = side-1-R + k(k+1)/2.
+    The code takes k as floor(sqrt(2R + 1/4) - 1/2), the same float, since
+    dividing by 4 under a correctly rounded root is exact.  All of it runs
+    in float64 and is exact: each value is a whole number of quarters below
+    2**52 (side <= MAX_VERTICES + 1), and a correctly rounded sqrt of a
+    non-square integer below 2**52 cannot round onto an integer, so the
+    floor sees the exact root's integer part.
     """
-    i = np.searchsorted(bases, linear, side="right") - 1
-    j = linear - bases[i] + i + 1
-    return i, j
+    last = side * (side - 1) // 2 - 1
+    j = linear.astype(np.float64)
+    k = j * -2.0
+    k += 2 * last + 0.25  # 2R + 1/4
+    np.sqrt(k, out=k)
+    k -= 0.5
+    np.floor(k, out=k)
+    j += side - 1 - last  # j = side-1-R, plus k(k+1)/2 below
+    t = k + 1.0
+    t *= k
+    t *= 0.5
+    j += t
+    np.subtract(side - 2, k, out=k)
+    return k.astype(np.int64), j.astype(np.int64)
 
 
 def _geometric_walk(size: int, p: float, stream: Stream):
     """Yield, chunk by chunk, the positions of range(size) kept by Bernoulli(p) trials.
 
     Gaps between kept positions are geometric, floor(log(1-u) / log(1-p)),
-    so only about size * p uniforms are drawn.  Positions stay exact in
-    float64 because every kept one is below size < 2**53.
+    so only about size * p uniforms are drawn.  The positions, running sums
+    of gap + 1, increase, so the ones inside range(size) are a prefix of
+    the chunk.  They stay exact in float64 because every one is below
+    size < 2**53.  The sampler turns each position into a pair: by integer
+    division in a rectangle, by the exact closed form of ``_triangle_pairs``
+    in a triangle.
     """
     log_q = math.log1p(-p) if p < 1.0 else -math.inf  # p = 1: every gap is 0
     cursor = 0
     while cursor < size:
         chunk = min(_CHUNK, int((size - cursor) * p * 1.1) + 16)
-        gaps = np.floor(np.log1p(-stream.uniforms(chunk)) / log_q)
-        pos = cursor + np.cumsum(gaps + 1.0) - 1.0
-        inside = pos[pos < size]
+        pos = stream.uniforms(chunk)
+        np.negative(pos, out=pos)
+        np.log1p(pos, out=pos)
+        pos /= log_q
+        np.floor(pos, out=pos)
+        pos += 1.0
+        pos.cumsum(out=pos)
+        pos += cursor
+        pos -= 1.0
+        inside = pos[:pos.searchsorted(size)]
         yield inside.astype(np.int64)
         cursor = size if inside.size < chunk else int(pos[-1]) + 1
 
@@ -297,9 +333,9 @@ def _pair_sampler(w: np.ndarray, total: float, loops: bool):
     The returned callable draws pairs u <= v, each present independently
     w.p. min(1, w_u w_v / W); ``w`` must be non-increasing, and pairs
     u == v are drawn only with ``loops``.  The plan -- the class bounds and
-    each block's origin, size, envelope p and triangle bases -- depends on
-    the weights alone, so a sampler made once serves every seed.  The
-    method and draw order are in the module docstring.
+    each block's origin, size, envelope p and rectangle width or triangle
+    side -- depends on the weights alone, so a sampler made once serves
+    every seed.  The method and draw order are in the module docstring.
     """
     n = w.size
     neg = -w
@@ -307,31 +343,33 @@ def _pair_sampler(w: np.ndarray, total: float, loops: bool):
     while bounds[-1] < n:
         bounds.append(int(np.searchsorted(neg, neg[bounds[-1]] / 2, side="right")))
     classes = list(zip(bounds, bounds[1:]))
-    blocks = []  # (u0, v0, size, p, width, bases): pair (u0 + i, v0 + j)
+    blocks = []  # (u0, v0, size, p, linear -> (i, j)): pair (u0 + i, v0 + j)
     for a, (a0, a1) in enumerate(classes):
         for b0, b1 in classes[a:]:
             p = min(1.0, w[a0] * w[b0] / total)
             if a0 == b0:
                 # with loops, pair (i, i) is (i, i + 1) of a strict triangle one wider
                 side = a1 - a0 + loops
-                blocks.append((a0, a0 - loops, side * (side - 1) // 2, p, None,
-                               _triangle_bases(side)))
+                blocks.append((a0, a0 - loops, side * (side - 1) // 2, p,
+                               partial(_triangle_pairs, side=side)))
             else:
-                blocks.append((a0, b0, (a1 - a0) * (b1 - b0), p, b1 - b0, None))
+                blocks.append((a0, b0, (a1 - a0) * (b1 - b0), p,
+                               partial(_rectangle_pairs, width=b1 - b0)))
 
     def sample(stream: Stream) -> tuple[np.ndarray, np.ndarray]:
         us, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-        for u0, v0, size, p, width, bases in blocks:
+        for u0, v0, size, p, pairs in blocks:
             for linear in _geometric_walk(size, p, stream):
-                if bases is None:
-                    i, j = np.divmod(linear, width)
-                else:
-                    i, j = _pairs_from_linear(linear, bases)
-                u, v = u0 + i, v0 + j
-                q = w[u] * w[v] / total  # exceeds p only where p is clamped at 1
-                keep = stream.uniforms(linear.size) < q / p
-                us.append(u[keep])
-                vs.append(v[keep])
+                u, v = pairs(linear)
+                u += u0
+                v += v0
+                q = w.take(u)  # q = w_u w_v / W exceeds p only where p is clamped at 1
+                q *= w.take(v)
+                q /= total
+                q /= p
+                keep = (stream.uniforms(linear.size) < q).nonzero()[0]
+                us.append(u.take(keep))
+                vs.append(v.take(keep))
         return np.concatenate(us), np.concatenate(vs)
 
     return sample

@@ -295,7 +295,7 @@ def is_connected(g: Graph) -> bool:
         cand = np.sort(cand[~visited[cand]])
         first = np.ones(cand.size, dtype=bool)
         np.not_equal(cand[1:], cand[:-1], out=first[1:])
-        new = cand[first]
+        new = cand[first].astype(np.intp)  # int32 ids would be converted on each index
         visited[new] = True
         reached += new.size
         frontier = new

@@ -30,7 +30,13 @@ from coinwalk.generators import (
     uniform_weights,
     weights_for,
 )
-from coinwalk.graph_core import build_graph, degree_statistics, is_connected, validate_graph
+from coinwalk.graph_core import (
+    MAX_VERTICES,
+    build_graph,
+    degree_statistics,
+    is_connected,
+    validate_graph,
+)
 from coinwalk.rng import derive_seed
 
 
@@ -367,6 +373,52 @@ def test_expected_degree_per_pair_frequencies_are_exact():
             assert not np.any(np.diag(hits))
         freq = hits[iu, jv] / reps
         assert np.all(np.abs(freq - probs) < tol), (weights, loops)
+
+
+def test_power_law_expected_degree_graph_is_frozen():
+    # multi-chunk triangle and rectangle blocks, clamped pairs and loops
+    w = power_law_weights(200000, 2.5, 5.0, math.sqrt(1e6))
+    g = gen_expected_degree(w, seed=7, strict=False)
+    assert g.self_loop_count > 0
+    digest = hashlib.sha256(g.offsets.tobytes() + g.neighbors.tobytes()).hexdigest()
+    assert digest == "1a751f5aaebddc2d7a94d17c6300acbc6b3a5683e113c45a172f3a104f83f41c"
+
+
+def test_gnp_graph_is_frozen():
+    # the one-class, loop-free triangle
+    g = gen_gnp(20000, 0.001, seed=7)
+    digest = hashlib.sha256(g.offsets.tobytes() + g.neighbors.tobytes()).hexdigest()
+    assert digest == "c3bae37294da434598a70452df73b0a3dbbf4ab2e6bba544bdd599a1a8c9ee65"
+
+
+def triangle_row_starts(side, rows):
+    """First linear index of each row i of a strict upper triangle, in exact integers."""
+    return rows * side - rows * (rows + 1) // 2
+
+
+def test_triangle_inversion_is_exact_on_small_sides():
+    # every L: row i holds the indices starts(i) <= L < starts(i + 1), columns i+1 ... side-1
+    for side in range(2, 61):
+        rows = np.arange(side - 1, dtype=np.int64)
+        ref_i = np.repeat(rows, side - 1 - rows)
+        linear = np.arange(side * (side - 1) // 2, dtype=np.int64)
+        ref_j = linear - triangle_row_starts(side, ref_i) + ref_i + 1
+        i, j = generators._triangle_pairs(linear, side)
+        assert i.dtype == j.dtype == np.int64
+        assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j), side
+
+
+def test_triangle_inversion_is_exact_at_row_ends_of_the_largest_side():
+    # A row's last index has 8R + 1 a perfect square and its first index has
+    # 8R + 1 just below one, so these are where a rounded sqrt would slip.
+    side = MAX_VERTICES + 1
+    rng = np.random.default_rng(15)
+    rows = np.union1d(rng.integers(0, side - 1, 100000), [0, 1, side - 3, side - 2])
+    first = triangle_row_starts(side, rows)
+    last = triangle_row_starts(side, rows + 1) - 1
+    for linear, ref_j in ((first, rows + 1), (last, np.full(rows.size, side - 1))):
+        i, j = generators._triangle_pairs(linear, side)
+        assert np.array_equal(i, rows) and np.array_equal(j, ref_j)
 
 
 def test_expected_degree_mean_degree_tracks_weights():

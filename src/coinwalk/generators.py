@@ -33,6 +33,19 @@ Draw order, all from one stream: blocks by class pair (A, B) with A outer
 and B inner; within a block, chunks of at most ``_CHUNK`` gap uniforms,
 each followed by one thinning uniform per candidate it produced.
 
+Lockstep: one walk serves one graph or many.  Each replicate is a lane
+with its own splitmix64 state, and draws exactly the uniforms, in exactly
+the order, that its stream draws alone, so a graph does not depend on the
+replicates walked beside it; a single graph is one lane.  Two bounds keep
+the memory of a one-graph draw: a block is walked by groups of lanes
+whose count times the block's first (widest) chunk is at most the plan's
+widest chunk (or the lane count, if larger), and replicates whose seeds
+are known up front (``sampler_for`` with ``seeds``) are drawn
+``max(1, _CHUNK // n)`` at a time.  Those replicates are reduced chunk by
+chunk straight into degree rows, so no edge list is held; a replicate's
+graph keeps its offsets and its seed, and walks that one lane again to
+build its adjacency if ``neighbors`` is read.
+
 Attempts: each random family is a plan, validated once, from a stream to
 a graph, or to ``None`` for a stub pairing that is not simple.  Attempt a
 draws from ``derive_seed(seed, a)``; the first graph (connected, if asked) wins.
@@ -48,8 +61,9 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .graph_core import Graph, _check_vertex_count, _csr_from_half_edges, _freeze, is_connected
-from .rng import MASK64, Stream, derive_seed
+from .graph_core import (Graph, _check_vertex_count, _csr_from_half_edges, _freeze,
+                         _sorted_neighbors, is_connected)
+from .rng import MASK64, Stream, derive_seed, derive_seeds, lane_uniforms
 
 #: Most geometric gaps the pair sampler draws at once; bounds its memory.
 _CHUNK = 1 << 16
@@ -298,44 +312,85 @@ def _triangle_pairs(linear: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarr
     return k.astype(np.int64), j.astype(np.int64)
 
 
-def _geometric_walk(size: int, p: float, stream: Stream):
+def _geometric_walk(size: int, p: float, states: np.ndarray):
     """Yield, chunk by chunk, the positions of range(size) kept by Bernoulli(p) trials.
 
-    Gaps between kept positions are geometric, floor(log(1-u) / log(1-p)),
-    so only about size * p uniforms are drawn.  The positions, running sums
-    of gap + 1, increase, so the ones inside range(size) are a prefix of
-    the chunk.  They stay exact in float64 because every one is below
-    size < 2**53.  The sampler turns each position into a pair: by integer
-    division in a rectangle, by the exact closed form of ``_triangle_pairs``
-    in a triangle.
+    Each lane walks range(size) on its own stream: ``states`` holds one
+    splitmix64 state per lane (see ``rng.lane_uniforms``).  Gaps between
+    kept positions are geometric, floor(log(1-u) / log(1-p)), so a lane
+    draws only about size * p uniforms.  A lane at ``cursor`` draws a chunk
+    of min(_CHUNK, int((size - cursor) * p * 1.1) + 16) gaps, so the first
+    chunk is as wide in every lane and is one (lanes, width) block; a
+    ragged later chunk is padded to the widest with +inf gaps.  The
+    positions, running sums of gap + 1, increase along a lane, so the ones
+    inside range(size) are a prefix of its chunk, and a lane walks on only
+    while its whole chunk falls inside.  They stay exact in float64
+    because every one is below size < 2**53.
+
+    Each step yields ``(lanes, lane_states, counts, linear)``: the indices
+    of the lanes that drew a chunk, their states, how many positions each
+    kept, and those positions lane after lane.  A caller that draws from
+    ``lane_states`` (thinning) advances them before the next chunk, which
+    writes them back to ``states``.
     """
     log_q = math.log1p(-p) if p < 1.0 else -math.inf  # p = 1: every gap is 0
-    cursor = 0
-    while cursor < size:
-        chunk = min(_CHUNK, int((size - cursor) * p * 1.1) + 16)
-        pos = stream.uniforms(chunk)
+    lanes = np.arange(states.size if size else 0)
+    cursor = np.zeros(lanes.size, dtype=np.int64)
+    width = min(_CHUNK, int(size * p * 1.1) + 16)
+    widths = np.full(lanes.size, width)
+    ragged = False
+    while lanes.size:
+        lane_states = states[lanes]
+        pos = lane_uniforms(lane_states, widths)
         np.negative(pos, out=pos)
         np.log1p(pos, out=pos)
         pos /= log_q
         np.floor(pos, out=pos)
         pos += 1.0
-        pos.cumsum(out=pos)
-        pos += cursor
+        if ragged:
+            padded = np.full((lanes.size, width), np.inf)
+            padded[np.arange(width) < widths[:, None]] = pos
+            pos = padded
+        else:
+            pos = pos.reshape(lanes.size, width)
+        pos.cumsum(axis=1, out=pos)
+        pos += cursor[:, None]
         pos -= 1.0
-        inside = pos[:pos.searchsorted(size)]
-        yield inside.astype(np.int64)
-        cursor = size if inside.size < chunk else int(pos[-1]) + 1
+        if lanes.size == 1:  # a prefix of one lane's chunk: found by bisection
+            counts = pos[0].searchsorted([size])
+            inside = pos[0, :counts[0]]
+        else:
+            inside = pos < size
+            counts = inside.sum(axis=1)
+            inside = pos[inside]
+        yield lanes, lane_states, counts, inside.astype(np.int64)
+        states[lanes] = lane_states
+        full = (counts == widths).nonzero()[0]
+        if not full.size:
+            return
+        cursor = pos[full, widths.take(full) - 1].astype(np.int64) + 1
+        walking = cursor < size
+        lanes, cursor = lanes.take(full)[walking], cursor[walking]
+        widths = np.minimum(_CHUNK, ((size - cursor) * p * 1.1).astype(np.int64) + 16)
+        width = int(widths.max(initial=0))
+        ragged = widths.min(initial=width) < width
 
 
 def _pair_sampler(w: np.ndarray, total: float, loops: bool):
-    """Plan the pair sampler for one weight sequence; return stream -> (u, v).
+    """Plan the pair sampler for one weight sequence; return its walk.
 
-    The returned callable draws pairs u <= v, each present independently
-    w.p. min(1, w_u w_v / W); ``w`` must be non-increasing, and pairs
-    u == v are drawn only with ``loops``.  The plan -- the class bounds and
-    each block's origin, size, envelope p and rectangle width or triangle
-    side -- depends on the weights alone, so a sampler made once serves
-    every seed.  The method and draw order are in the module docstring.
+    The walk draws pairs u <= v, each present independently w.p.
+    min(1, w_u w_v / W); ``w`` must be non-increasing, and pairs u == v
+    are drawn only with ``loops``.  The plan -- the class bounds and each
+    block's origin, size, envelope p and rectangle width or triangle side
+    -- depends on the weights alone, so a sampler made once serves every
+    seed.  The method and draw order are in the module docstring.
+
+    ``walk(states)`` walks one lane per splitmix64 state of the 1-d uint64
+    array ``states``, advancing them in place, and yields each chunk's kept
+    pairs as ``(lanes, ends, u, v, loop_block)``: the lanes that drew it,
+    the running count of pairs they kept (lane i's pairs end at ends[i]),
+    the pairs lane after lane, and whether the block can hold a loop (u == v).
     """
     n = w.size
     neg = -w
@@ -356,23 +411,124 @@ def _pair_sampler(w: np.ndarray, total: float, loops: bool):
                 blocks.append((a0, b0, (a1 - a0) * (b1 - b0), p,
                                partial(_rectangle_pairs, width=b1 - b0)))
 
-    def sample(stream: Stream) -> tuple[np.ndarray, np.ndarray]:
-        us, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-        for u0, v0, size, p, pairs in blocks:
-            for linear in _geometric_walk(size, p, stream):
-                u, v = pairs(linear)
-                u += u0
-                v += v0
-                q = w.take(u)  # q = w_u w_v / W exceeds p only where p is clamped at 1
-                q *= w.take(v)
-                q /= total
-                q /= p
-                keep = (stream.uniforms(linear.size) < q).nonzero()[0]
-                us.append(u.take(keep))
-                vs.append(v.take(keep))
-        return np.concatenate(us), np.concatenate(vs)
+    firsts = [min(_CHUNK, int(size * p * 1.1) + 16) for _, _, size, p, _ in blocks]
+    widest = max(firsts, default=0)
 
-    return sample
+    def walk(states: np.ndarray):
+        # lanes walked together x a block's first (widest) chunk stays within
+        # the plan's widest chunk, or within the lane count for tiny plans
+        bound = max(widest, states.size)
+        for (u0, v0, size, p, pairs), first in zip(blocks, firsts):
+            group = max(1, bound // first)
+            for g0 in range(0, states.size, group):
+                for lanes, lane_states, counts, linear in _geometric_walk(
+                        size, p, states[g0:g0 + group]):
+                    u, v = pairs(linear)
+                    u += u0
+                    v += v0
+                    q = w.take(u)  # q = w_u w_v / W exceeds p only where p is clamped at 1
+                    q *= w.take(v)
+                    q /= total
+                    q /= p
+                    keep = (lane_uniforms(lane_states, counts) < q).nonzero()[0]
+                    yield (lanes + g0, keep.searchsorted(counts.cumsum()), u.take(keep),
+                           v.take(keep), v0 < u0)
+
+    return walk
+
+
+def _no_pairs(states: np.ndarray):
+    """The walk of a sampler whose every pair probability is 0."""
+    return iter(())
+
+
+def _pair_edges(walk, state: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical pairs (u, v) that ``walk`` keeps for one stream state."""
+    us, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for _, _, u, v, _ in walk(np.array([state], dtype=np.uint64)):
+        us.append(u)
+        vs.append(v)
+    return np.concatenate(us), np.concatenate(vs)
+
+
+def _pairs_graph(n: int, walk, stream: Stream) -> Graph:
+    """One attempt of a pair model: the graph of the pairs kept for ``stream``."""
+    return _csr_from_half_edges(n, *_pair_edges(walk, stream.state))
+
+
+def _lane_offsets(n: int, walk, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR offset rows (lanes, n + 1) and self-loop counts of ``walk`` over ``states``.
+
+    Each chunk's kept pairs are added into degree rows as they come, so no
+    lane's edge list is ever held; a row's running sum then makes it its
+    lane's offsets in place.  A chunk's pairs are indexed from the row of
+    its first lane, so a one-lane chunk needs no offsets.  A loop adds 1 to
+    its vertex's degree, not 2; only the within-class triangles of a
+    sampler with loops can hold one, so only their chunks look.
+    """
+    stride = n + 1  # vertex v of lane i counts at i * stride + 1 + v
+    offsets = np.zeros(states.size * stride, dtype=np.int64)
+    loops = np.zeros(states.size, dtype=np.int64)
+    for lanes, ends, u, v, loop_block in walk(states):
+        rows = offsets[lanes[0] * stride + 1:]
+        if lanes.size > 1:
+            ends[1:] -= ends[:-1].copy()
+            shift = ((lanes - lanes[0]) * stride).repeat(ends)
+            u += shift
+            v += shift
+        np.add.at(rows, u, 1)
+        np.add.at(rows, v, 1)
+        if loop_block:
+            at = u[u == v]
+            np.add.at(rows, at, -1)
+            np.add.at(loops, lanes[0] + at // stride, 1)
+    offsets = offsets.reshape(states.size, stride)
+    offsets.cumsum(axis=1, out=offsets)
+    return offsets, loops
+
+
+def _rebuilt_neighbors(n: int, walk, state: int) -> np.ndarray:
+    """A lockstep replicate's adjacency: its one lane walked again, alone."""
+    return _sorted_neighbors(n, *_pair_edges(walk, state))
+
+
+class _LockstepDraws:
+    """seed -> Graph for a known run of seeds, drawn in lockstep straight to degrees.
+
+    The seeds are drawn in replicate chunks of ``max(1, _CHUNK // n)``
+    lanes, which bounds the degree rows to about _CHUNK entries; a chunk is
+    drawn when its first seed is asked for, and replaces the one before.
+    Replicate s is attempt 0 of the one-graph draw, the lane of stream
+    ``derive_seed(s, 0)``; its graph holds only offsets and a self-loop
+    count, and rebuilds its adjacency from that lane if something reads
+    ``neighbors``.  Any other seed, or one asked for out of order, is drawn
+    alone by ``single``.
+    """
+
+    def __init__(self, n: int, walk, seeds, single):
+        self._n, self._walk, self._seeds, self._single = n, walk, seeds, single
+        self._next = 0
+        self._rows: dict[int, int] = {}
+
+    def __call__(self, seed: int) -> Graph:
+        row = self._rows.get(seed)
+        if row is None and self._next < len(self._seeds) and seed == int(self._seeds[self._next]):
+            self._draw_chunk()
+            row = self._rows[seed]
+        if row is None:
+            return self._single(seed)
+        return Graph(self._n, _freeze(self._offsets[row]),
+                     partial(_rebuilt_neighbors, self._n, self._walk, int(self._origins[row])),
+                     int(self._loops[row]))
+
+    def _draw_chunk(self) -> None:
+        start = self._next
+        chunk = [int(s) for s in self._seeds[start:start + max(1, _CHUNK // self._n)]]
+        self._next = start + len(chunk)
+        self._origins = derive_seeds(np.array([s & MASK64 for s in chunk], dtype=np.uint64), 0)
+        self._rows = {s: i for i, s in enumerate(chunk)}
+        self._offsets = self._loops = None  # let the last chunk go first
+        self._offsets, self._loops = _lane_offsets(self._n, self._walk, self._origins.copy())
 
 
 def _caller_stacklevel() -> int:
@@ -383,8 +539,8 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def _gnp_pairs(n: int, p: float, require_connected: bool):
-    """Validate a G(n, p) request and plan its sampler once; return stream -> Graph."""
+def _gnp_walk(n: int, p: float, require_connected: bool):
+    """Validate a G(n, p) request and plan its sampler once; return its walk."""
     _check_vertex_count(n)
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
@@ -394,9 +550,7 @@ def _gnp_pairs(n: int, p: float, require_connected: bool):
             "connected samples will be rare in this regime",
             stacklevel=_caller_stacklevel(),
         )
-    pairs = (_pair_sampler(np.ones(n), 1.0 / p, False) if p > 0.0
-             else lambda stream: (np.empty(0, np.int64),) * 2)
-    return lambda stream: _csr_from_half_edges(n, *pairs(stream))
+    return _pair_sampler(np.ones(n), 1.0 / p, False) if p > 0.0 else _no_pairs
 
 
 def gen_gnp(n: int, p: float, seed: int, require_connected: bool = False) -> Graph:
@@ -406,18 +560,17 @@ def gen_gnp(n: int, p: float, seed: int, require_connected: bool = False) -> Gra
     With ``require_connected`` attempt a draws from ``derive_seed(seed, a)``
     until one is connected, up to ``CONNECT_ATTEMPTS`` attempts.
     """
-    return _draw(_gnp_pairs(n, p, require_connected), CONNECT_ATTEMPTS,
-                 require_connected, seed)
+    walk = _gnp_walk(n, p, require_connected)
+    return _draw(partial(_pairs_graph, n, walk), CONNECT_ATTEMPTS, require_connected, seed)
 
 
-def _expected_degree_pairs(w: WeightSequence, loops: bool, strict: bool):
-    """Validate the weights and plan their sampler once; return stream -> Graph."""
+def _expected_degree_walk(w: WeightSequence, loops: bool, strict: bool):
+    """Validate the weights and plan their sampler once; return its walk."""
     if strict and not w.probabilities_valid():
         raise ValueError(
             f"invalid pair probabilities: max weight squared {w.max_weight**2:.6g} "
             f"exceeds total weight {w.total:.6g} (pass strict=False to clamp at 1)")
-    pairs = _pair_sampler(w.weights, w.total, loops)
-    return lambda stream: _csr_from_half_edges(w.n, *pairs(stream))
+    return _pair_sampler(w.weights, w.total, loops)
 
 
 def gen_expected_degree(w: WeightSequence, seed: int, allow_self_loops: bool = True,
@@ -432,8 +585,8 @@ def gen_expected_degree(w: WeightSequence, seed: int, allow_self_loops: bool = T
     clamps each pair probability at 1 -- useful right at the m = sqrt(n*d)
     boundary, where finite-n weight sums fall a few percent short of n*d.
     """
-    return _draw(_expected_degree_pairs(w, allow_self_loops, strict), CONNECT_ATTEMPTS,
-                 False, seed)
+    walk = _expected_degree_walk(w, allow_self_loops, strict)
+    return _draw(partial(_pairs_graph, w.n, walk), CONNECT_ATTEMPTS, False, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +637,7 @@ def weights_for(spec: GenSpec) -> WeightSequence:
                              _require(spec, "d"), _require(spec, "m"))
 
 
-def sampler_for(spec: GenSpec):
+def sampler_for(spec: GenSpec, seeds=None):
     """Resolve a GenSpec to a seed -> Graph callable.
 
     Family parameters are validated, and the family's plan made, once, up
@@ -494,6 +647,12 @@ def sampler_for(spec: GenSpec):
     Deterministic families ignore the seed and need no conditioning: K_n
     (n >= 2) is connected, and so is every circulant, since k >= 1 puts
     the cycle v -> v + 1 in it.
+
+    ``seeds``, the replicate seeds the caller will ask for in that order,
+    lets a gnp or expected_degree spec without ``require_connected`` draw
+    them in lockstep, straight to degrees (see ``_LockstepDraws``): each
+    graph is the one its seed draws alone, its adjacency rebuilt from the
+    seed when read.  Other families draw each seed as they would without.
     """
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}")
@@ -501,14 +660,18 @@ def sampler_for(spec: GenSpec):
         g = (gen_complete(spec.n) if spec.family == "complete"
              else gen_circulant(spec.n, _require(spec, "k")))
         return lambda s: g
-    budget = PAIRING_ATTEMPTS if spec.family == "random_regular" else CONNECT_ATTEMPTS
     if spec.family == "random_regular":
         plan = _regular_pairing(spec.n, _require(spec, "r"))
-    elif spec.family == "gnp":
-        plan = _gnp_pairs(spec.n, _require(spec, "p"), spec.require_connected)
+        return partial(_draw, plan, PAIRING_ATTEMPTS, spec.require_connected)
+    if spec.family == "gnp":
+        walk = _gnp_walk(spec.n, _require(spec, "p"), spec.require_connected)
     else:
-        plan = _expected_degree_pairs(weights_for(spec), spec.allow_self_loops, spec.strict)
-    return partial(_draw, plan, budget, spec.require_connected)
+        walk = _expected_degree_walk(weights_for(spec), spec.allow_self_loops, spec.strict)
+    single = partial(_draw, partial(_pairs_graph, spec.n, walk), CONNECT_ATTEMPTS,
+                     spec.require_connected)
+    if seeds is None or spec.require_connected:
+        return single
+    return _LockstepDraws(spec.n, walk, seeds, single)
 
 
 def generate(spec: GenSpec) -> Graph:

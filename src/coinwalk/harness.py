@@ -12,6 +12,12 @@ A spec file describes one experiment of a given kind:
   over (n, gamma, d, m) ``seeds_per_point`` times, recording the mean
   meeting-rate ratio n * sum(pi_v^2) against its predicted scaling regime.
 
+``ensemble`` and ``sweep`` read only each replicate's degrees, so they hand
+their replicate seeds to ``sampler_for``: the pair models then draw the
+replicates in lockstep, straight to degree rows, and hold no edge list.
+Each replicate is the graph its seed draws alone, so the output does not
+depend on it.
+
 Every run is reproducible byte for byte: grid point i draws all its
 randomness from the derived seed (master_seed, i), rows are emitted in
 grid order regardless of worker count, floats are serialized with
@@ -36,7 +42,7 @@ import numpy as np
 from .generators import GenSpec, GenerationError, generate, sampler_for, weights_for
 from .graph_core import MAX_REPLICATES, MAX_VERTICES, degree_statistics, is_connected
 from .moments import closed_form_moments, ensemble_estimate, er_moments, predict_scaling
-from .rng import MASK64, derive_seed
+from .rng import MASK64, derive_seed, derive_seeds
 from .walk_sim import SimConfig, verify_theorem1
 
 FORMATS = ("csv", "json")
@@ -451,10 +457,11 @@ def _run_point(spec: ExperimentSpec, index: int, point: dict[str, Any]) -> Resul
         elif spec.kind == "ensemble":
             fill_row(row, ensemble_estimate(gen, spec.ensemble_replicates, seed=gen.seed))
         else:
-            draw = sampler_for(gen)
+            seeds = derive_seeds(gen.seed, np.arange(spec.seeds_per_point))
+            draw = sampler_for(gen, seeds)
             ratios = np.empty(spec.seeds_per_point)
             for j in range(spec.seeds_per_point):
-                g = draw(derive_seed(gen.seed, j))
+                g = draw(int(seeds[j]))
                 ratios[j] = g.n * degree_statistics(g).coincidence_rate
             row.seeds_per_point = spec.seeds_per_point
             row.n_sum_pi_sq = float(ratios.mean())

@@ -29,7 +29,7 @@ import numpy as np
 
 from .generators import GenSpec, WeightSequence, sampler_for
 from .graph_core import degree_statistics
-from .rng import derive_seed
+from .rng import derive_seeds
 
 #: Width of the band around integer exponents treated as the boundary case.
 BOUNDARY_TOL = 1e-9
@@ -210,16 +210,19 @@ def ensemble_estimate(spec: GenSpec, replicates: int, seed: int) -> EnsembleStat
     """Monte Carlo moments of (D, D2) for a graph spec.
 
     Replicate r draws the graph with the derived seed (seed, r), so the
-    estimate is independent of spec.seed.  Variances use the unbiased
-    (ddof = 1) estimator.
+    estimate is independent of spec.seed.  The replicate seeds go to
+    ``sampler_for``, so the pair models draw them in lockstep, straight to
+    degrees, each graph identical to its one-at-a-time draw.  Variances
+    use the unbiased (ddof = 1) estimator.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a variance estimate")
-    draw = sampler_for(spec)
+    seeds = derive_seeds(seed, np.arange(replicates))
+    draw = sampler_for(spec, seeds)
     d_vals = np.empty(replicates, dtype=np.float64)
     d2_vals = np.empty(replicates, dtype=np.float64)
     for r in range(replicates):
-        stats = degree_statistics(draw(derive_seed(seed, r)))
+        stats = degree_statistics(draw(int(seeds[r])))
         d_vals[r], d2_vals[r] = stats.D, stats.D2
     return EnsembleStats(
         mean_D=float(d_vals.mean()),

@@ -110,6 +110,31 @@ def uniform_from_u64(words: np.ndarray) -> np.ndarray:
     return (words >> _S11).astype(np.float64) * U53_INV
 
 
+def lane_uniforms(states: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Draw ``counts[i]`` uniforms from lane i's stream, concatenated in lane order.
+
+    Lane i is the stream ``Stream(states[i])``: its k-th uniform comes from
+    ``mix64(states[i] + (k+1) * gamma)``, so the block equals the
+    concatenated ``Stream(s).uniforms(c)`` over the lanes bit for bit, and
+    ``states`` (1-d uint64) advances in place by ``counts`` (1-d int64), as
+    each stream's state would.  Word t of the block, the k-th of a lane
+    whose block ends at e, is ``(states[i] + counts[i] * gamma) - (e - 1 - t) * gamma``.
+    """
+    steps = counts.astype(np.uint64)
+    ends = steps.cumsum()
+    words = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.uint64)
+    words *= GAMMA_U64
+    # 1-d uint64 arithmetic wraps silently; on 0-d values numpy would warn
+    steps *= GAMMA_U64
+    states += steps
+    ends -= np.uint64(1)
+    ends *= GAMMA_U64
+    origins = states - ends
+    words += origins if origins.size == 1 else origins.repeat(counts)
+    mix64_into(words, words, np.empty_like(words))
+    return uniform_from_u64(words)
+
+
 class Stream:
     """A sequential splitmix64 stream.
 

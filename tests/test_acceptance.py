@@ -347,11 +347,12 @@ def test_concentration_of_D2_improves_with_n():
             spec = GenSpec(family="expected_degree", n=n, gamma=gamma, d=d, m=m,
                            strict=False)
             ed2 = closed_form_moments(weights_for(spec), strict=False).ED2
-            draw = sampler_for(spec)
             point_seed = derive_seed(1234, gi * len(ns) + ni)
+            seeds = [derive_seed(point_seed, j) for j in range(graphs_per_point)]
+            draw = sampler_for(spec, seeds)  # the replicates in lockstep
             acc = 0.0
-            for j in range(graphs_per_point):
-                stats = degree_statistics(draw(derive_seed(point_seed, j)))
+            for s in seeds:
+                stats = degree_statistics(draw(s))
                 acc += abs(stats.D2 / ed2 - 1.0)
             devs.append(acc / graphs_per_point)
         assert devs[0] > devs[1] > devs[2], (gamma, devs)
@@ -380,11 +381,12 @@ def test_meeting_rate_phase_behavior_in_gamma():
             m = math.sqrt(n * d)
             spec = GenSpec(family="expected_degree", n=n, gamma=gamma, d=d, m=m,
                            strict=False)
-            draw = sampler_for(spec)
             point_seed = derive_seed(777, gi * len(ns) + ni)
+            seeds = [derive_seed(point_seed, j) for j in range(seeds_per_point)]
+            draw = sampler_for(spec, seeds)  # the replicates in lockstep
             acc = 0.0
-            for j in range(seeds_per_point):
-                g = draw(derive_seed(point_seed, j))
+            for s in seeds:
+                g = draw(s)
                 acc += g.n * degree_statistics(g).coincidence_rate
             vals[(gamma, n)] = acc / seeds_per_point
 

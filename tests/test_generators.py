@@ -8,6 +8,7 @@ tolerance, on graphs small enough to enumerate.
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +38,7 @@ from coinwalk.graph_core import (
     is_connected,
     validate_graph,
 )
-from coinwalk.rng import derive_seed
+from coinwalk.rng import Stream, derive_seed
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +390,96 @@ def test_gnp_graph_is_frozen():
     g = gen_gnp(20000, 0.001, seed=7)
     digest = hashlib.sha256(g.offsets.tobytes() + g.neighbors.tobytes()).hexdigest()
     assert digest == "c3bae37294da434598a70452df73b0a3dbbf4ab2e6bba544bdd599a1a8c9ee65"
+
+
+LOCKSTEP_SPECS = {
+    "gnp": GenSpec("gnp", n=24, p=0.5),
+    "expected_degree": GenSpec("expected_degree", n=24, gamma=2.5, d=4.0, m=6.0),
+    "expected_degree_no_loops": GenSpec("expected_degree", n=24, gamma=2.5, d=4.0, m=6.0,
+                                        allow_self_loops=False),
+    # w_0^2 > W: the top blocks, vertex 0's loop among them, clamp at p = 1
+    "clamped": GenSpec("expected_degree", n=24, gamma=2.2, d=5.0, m=20.0, strict=False),
+}
+
+
+@pytest.mark.parametrize("replicates", [1, 2, 7])
+@pytest.mark.parametrize("name", LOCKSTEP_SPECS)
+def test_lockstep_draws_equal_one_at_a_time_draws(name, replicates, monkeypatch):
+    # a small _CHUNK gives multi-chunk blocks (gnp), replicate chunks of
+    # 5 lanes (128 // 24) and blocks walked in several groups of lanes
+    monkeypatch.setattr(generators, "_CHUNK", 128)
+    spec = LOCKSTEP_SPECS[name]
+    seeds = [derive_seed(31, j) for j in range(replicates)]
+    alone = sampler_for(spec)
+    draw = sampler_for(spec, seeds)
+    for s in seeds:
+        g, want = draw(s), alone(s)
+        assert "neighbors" not in vars(g)  # degrees only, adjacency rebuilt on read
+        assert np.array_equal(g.offsets, want.offsets)
+        assert (g.self_loop_count, g.edge_count) == (want.self_loop_count, want.edge_count)
+        assert np.array_equal(g.neighbors, want.neighbors)
+        validate_graph(g)
+    assert draw(seeds[0]) == alone(seeds[0])  # asked for again, out of order
+    # a seed outside the run falls back to the one-lane walk and its edge list
+    handed = []
+    real = generators._csr_from_half_edges
+    monkeypatch.setattr(generators, "_csr_from_half_edges",
+                        lambda *args: handed.append(args) or real(*args))
+    outside = derive_seed(31, replicates)
+    g = draw(outside)
+    assert len(handed) == 1 and g == alone(outside)
+
+
+def test_lockstep_sweep_draw_holds_no_edge_list():
+    # a sweep point at n = 1e6: two replicates drawn in lockstep, straight to
+    # degrees, peak below the 16 bytes per edge of one replicate's edge list
+    spec = GenSpec("expected_degree", n=10**6, gamma=2.5, d=5.0, m=math.sqrt(5e6),
+                   strict=False)
+    seeds = [derive_seed(61, j) for j in range(2)]
+    draw = sampler_for(spec, seeds)
+    edges = []
+    tracemalloc.start()
+    try:
+        for s in seeds:
+            g = draw(s)
+            degree_statistics(g)
+            edges.append(g.edge_count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * min(edges), (peak, edges)
+
+
+def one_stream_walk(size, p, stream):
+    """The positions of range(size) kept by Bernoulli(p), one chunk after another."""
+    log_q = math.log1p(-p) if p < 1.0 else -math.inf
+    cursor, kept = 0, []
+    while cursor < size:
+        chunk = min(generators._CHUNK, int((size - cursor) * p * 1.1) + 16)
+        pos = np.cumsum(np.floor(np.log1p(-stream.uniforms(chunk)) / log_q) + 1.0) + cursor - 1.0
+        inside = pos[pos < size]
+        kept.append(inside.astype(np.int64))
+        cursor = size if inside.size < chunk else int(pos[-1]) + 1
+    return np.concatenate(kept)
+
+
+def test_geometric_walk_lanes_match_one_stream_walks():
+    # about 0.6% of lanes find their first chunk of 192 gaps inside range(16000)
+    # at p = 0.01; walked together, those lanes draw ragged later chunks
+    size, p, lanes = 16000, 0.01, 1000
+    seeds = [derive_seed(41, j) for j in range(lanes)]
+    states = np.array(seeds, dtype=np.uint64)
+    kept = [[] for _ in range(lanes)]
+    widths_seen = []
+    for walking, lane_states, counts, linear in generators._geometric_walk(size, p, states):
+        widths_seen.append(walking.size)
+        for lane, part in zip(walking, np.split(linear, np.cumsum(counts)[:-1])):
+            kept[lane].append(part)
+    assert len(widths_seen) > 1 and widths_seen[1] > 1  # a later chunk, several lanes
+    for seed, lane_state, parts in zip(seeds, states, kept):
+        stream = Stream(seed)
+        assert np.array_equal(np.concatenate(parts), one_stream_walk(size, p, stream))
+        assert int(lane_state) == stream.state
 
 
 def triangle_row_starts(side, rows):

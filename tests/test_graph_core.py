@@ -9,7 +9,7 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from coinwalk import generators
+from coinwalk import generators, harness, moments
 from coinwalk.generators import (
     gen_circulant,
     gen_complete,
@@ -268,7 +268,17 @@ def test_random_graphs_defer_an_adjacency_equal_to_the_eager_sort(handed_pairs, 
     assert u_ref() is None  # and drops them once neighbors is built
 
 
-def test_degree_rows_leave_the_adjacency_unbuilt(handed_pairs):
+def test_degree_rows_leave_the_adjacency_unbuilt(handed_pairs, monkeypatch):
+    # sweep and ensemble draw their replicates in lockstep straight to
+    # degrees: no edge list is handed to graph_core, and no adjacency is built
+    drawn = []
+
+    def spy_sampler_for(spec, seeds=None):
+        draw = generators.sampler_for(spec, seeds)
+        return lambda seed: drawn.append(draw(seed)) or drawn[-1]
+
+    monkeypatch.setattr(harness, "sampler_for", spy_sampler_for)
+    monkeypatch.setattr(moments, "sampler_for", spy_sampler_for)
     sweep = {"kind": "sweep", "seed": 3,
              "sweep": {"n": 500, "gamma": [2.5, 3.5], "d": 4.0, "m": "sqrt_nd",
                        "seeds_per_point": 2, "strict": False}}
@@ -277,8 +287,9 @@ def test_degree_rows_leave_the_adjacency_unbuilt(handed_pairs):
     for doc in (sweep, ensemble):
         rows = run_experiment(parse_spec(json.dumps(doc)))
         assert all(row.error is None for row in rows)
-    assert len(handed_pairs) == 4 + 3
-    assert all("neighbors" not in vars(g) for *_, g, _ in handed_pairs)
+    assert len(drawn) == 4 + 3
+    assert not handed_pairs
+    assert all("neighbors" not in vars(g) for g in drawn)
 
 
 def test_edge_and_loop_counts_leave_the_adjacency_unbuilt():

@@ -18,6 +18,7 @@ from coinwalk.rng import (
     Stream,
     derive_seed,
     derive_seeds,
+    lane_uniforms,
     mix64,
     mix64_into,
     mix64_vec,
@@ -96,6 +97,21 @@ def test_uniform_block_matches_scalar_draws():
     singles = np.array([b.uniform() for _ in range(257)])
     assert np.array_equal(block, singles)
     assert a.state == b.state
+
+
+@pytest.mark.parametrize("counts", [[5, 0, 3, 7, 0], [0, 0, 4], [9], [0, 0], []])
+def test_lane_draw_matches_concatenated_streams(counts):
+    # lanes within a few gamma of 2**64 wrap during the draw, silently
+    near_top = [MASK64, MASK64 - GOLDEN_GAMMA, 12345, (-3 * GOLDEN_GAMMA) & MASK64, MASK64 - 7]
+    seeds = near_top[:len(counts)]
+    states = np.array(seeds, dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lane_uniforms(states, np.array(counts, dtype=np.int64))
+    streams = [Stream(s) for s in seeds]
+    want = [stream.uniforms(c) for stream, c in zip(streams, counts)]
+    assert np.array_equal(got, np.concatenate([np.empty(0)] + want))
+    assert states.tolist() == [stream.state for stream in streams]
 
 
 def test_mixing_scalar_and_block_draws_preserves_sequence():

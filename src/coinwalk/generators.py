@@ -46,6 +46,18 @@ chunk straight into degree rows, so no edge list is held; a replicate's
 graph keeps its offsets and its seed, and walks that one lane again to
 build its adjacency if ``neighbors`` is read.
 
+Workspace: each thread owns one set of chunk buffers (``_Workspace``),
+grown to the widest chunk it has walked and reused by every later walk on
+that thread, across blocks, replicates, grid points and samplers.  A
+chunk's pipeline -- gap uniforms, positions, kept positions, pairs (u, v),
+their probabilities q, thinning uniforms and keep mask -- is written into
+it in place; only the kept pairs a walk yields are new arrays, and the
+caller owns them (when several lanes walk a chunk, two gathers across
+the lanes are new too: the lanes' stream origins repeated over their
+uniforms, and their kept positions).  No buffer's contents outlive one
+step of a walk, so walks may interleave on one thread, and the threads of
+``--jobs`` never share a buffer.
+
 Attempts: each random family is a plan, validated once, from a stream to
 a graph, or to ``None`` for a stub pairing that is not simple.  Attempt a
 draws from ``derive_seed(seed, a)``; the first graph (connected, if asked) wins.
@@ -55,6 +67,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -63,7 +76,7 @@ import numpy as np
 
 from .graph_core import (Graph, _check_vertex_count, _csr_from_half_edges, _freeze,
                          _sorted_neighbors, is_connected)
-from .rng import MASK64, Stream, derive_seed, derive_seeds, lane_uniforms
+from .rng import MASK64, Stream, derive_seed, derive_seeds, gamma_ramp, lane_uniforms
 
 #: Most geometric gaps the pair sampler draws at once; bounds its memory.
 _CHUNK = 1 << 16
@@ -97,7 +110,7 @@ class WeightSequence:
             raise ValueError("weights must be finite")
         if w[-1] <= 0:
             raise ValueError("weights must be positive")
-        if np.any(np.diff(w) > 0):
+        if np.any(w[1:] > w[:-1]):
             raise ValueError("weights must be non-increasing")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -145,8 +158,11 @@ def power_law_weights(n: int, gamma: float, d: float, m: float) -> WeightSequenc
     if m <= d:
         raise ValueError("m must exceed d")
     i0 = n * (d * (gamma - 2) / (m * (gamma - 1))) ** (gamma - 1)
-    idx = np.arange(n, dtype=np.float64)
-    w = m * (1.0 + idx / i0) ** (-1.0 / (gamma - 1.0))
+    w = np.arange(n, dtype=np.float64)  # in place: the formula's operations, in its order
+    w /= i0
+    w += 1.0
+    w **= -1.0 / (gamma - 1.0)
+    w *= m
     return WeightSequence(weights=w)
 
 
@@ -277,39 +293,79 @@ def _draw(attempt, budget: int, require_connected: bool, seed: int) -> Graph:
 # independent-pair models: one exact sampler
 
 
-def _rectangle_pairs(linear: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert row-major linear indices of a rectangle ``width`` wide to (i, j)."""
-    i = linear // width
-    return i, linear - i * width
+class _Workspace(threading.local):
+    """The pair sampler's chunk buffers: one set per thread, reused by every walk.
+
+    Each buffer holds ``size`` entries, grown to the largest chunk the
+    thread has walked; a chunk of up to ``size`` gap slots fits, and so do
+    its kept positions, pairs, probabilities and thinning uniforms.  A walk
+    step fills the buffers and reads them back before it yields owned
+    arrays, so no buffer's contents outlive a step: walks on one thread
+    may interleave, and threads never share a buffer.
+    """
+
+    size = 0
+
+    def fit(self, size: int) -> "_Workspace":
+        """This thread's buffers, grown to at least ``size`` entries."""
+        if size > self.size:
+            self.size = size
+            self.ramp = gamma_ramp(size)
+            self.words = np.empty(size, dtype=np.uint64)
+            self.gaps, self.q, self.thin = (np.empty(size) for _ in range(3))
+            self.linear, self.u, self.v = (np.empty(size, dtype=np.int64) for _ in range(3))
+            self.mask = np.empty(size, dtype=bool)
+        return self
 
 
-def _triangle_pairs(linear: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray]:
+_WORKSPACE = _Workspace()
+
+
+def _rectangle_pairs(linear: np.ndarray, width: int,
+                     ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Invert row-major linear indices of a rectangle ``width`` wide to (i, j), in ws.u, ws.v."""
+    i, j = ws.u[:linear.size], ws.v[:linear.size]
+    np.floor_divide(linear, width, out=i)
+    np.multiply(i, width, out=j)
+    np.subtract(linear, j, out=j)
+    return i, j
+
+
+def _triangle_pairs(linear: np.ndarray, side: int,
+                    ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Invert row-major linear indices L of a strict upper triangle to (i, j).
 
     Counted back from the triangle's end, R = side(side-1)/2 - 1 - L, row
     side-2-k holds the k+1 indices with k(k+1)/2 <= R < (k+1)(k+2)/2, so
     k = floor((sqrt(8R+1) - 1) / 2), i = side-2-k and j = side-1-R + k(k+1)/2.
     The code takes k as floor(sqrt(2R + 1/4) - 1/2), the same float, since
-    dividing by 4 under a correctly rounded root is exact.  All of it runs
-    in float64 and is exact: each value is a whole number of quarters below
-    2**52 (side <= MAX_VERTICES + 1), and a correctly rounded sqrt of a
-    non-square integer below 2**52 cannot round onto an integer, so the
-    floor sees the exact root's integer part.
+    dividing by 4 under a correctly rounded root is exact, and k(k+1)/2 as
+    ((k + 1/2)**2 - 1/4) / 2 in place.  All of it runs in float64 and is
+    exact: each value is a whole number of quarters below 2**52 (side <=
+    MAX_VERTICES + 1), and a correctly rounded sqrt of a non-square integer
+    below 2**52 cannot round onto an integer, so the floor sees the exact
+    root's integer part.  i and j go to ``ws.u`` and ``ws.v``; ``ws.q`` and
+    ``ws.thin`` are scratch.
     """
     last = side * (side - 1) // 2 - 1
-    j = linear.astype(np.float64)
-    k = j * -2.0
+    count = linear.size
+    i, j, k, jf = ws.u[:count], ws.v[:count], ws.q[:count], ws.thin[:count]
+    k[...] = linear
+    np.add(k, side - 1 - last, out=jf)  # j = side-1-R, plus k(k+1)/2 below
+    k *= -2.0
     k += 2 * last + 0.25  # 2R + 1/4
     np.sqrt(k, out=k)
     k -= 0.5
     np.floor(k, out=k)
-    j += side - 1 - last  # j = side-1-R, plus k(k+1)/2 below
-    t = k + 1.0
-    t *= k
-    t *= 0.5
-    j += t
-    np.subtract(side - 2, k, out=k)
-    return k.astype(np.int64), j.astype(np.int64)
+    i[...] = k
+    np.subtract(side - 2, i, out=i)
+    k += 0.5
+    k *= k
+    k -= 0.25
+    k *= 0.5
+    jf += k
+    j[...] = jf
+    return i, j
 
 
 def _geometric_walk(size: int, p: float, states: np.ndarray):
@@ -329,9 +385,11 @@ def _geometric_walk(size: int, p: float, states: np.ndarray):
 
     Each step yields ``(lanes, lane_states, counts, linear)``: the indices
     of the lanes that drew a chunk, their states, how many positions each
-    kept, and those positions lane after lane.  A caller that draws from
-    ``lane_states`` (thinning) advances them before the next chunk, which
-    writes them back to ``states``.
+    kept, and those positions lane after lane, in this thread's
+    ``_Workspace`` (``linear``; the gaps are drawn in ``gaps``, padded in
+    ``q``), so they hold only until the next step.  A caller that draws
+    from ``lane_states`` (thinning) advances them before the next chunk,
+    which writes them back to ``states``.
     """
     log_q = math.log1p(-p) if p < 1.0 else -math.inf  # p = 1: every gap is 0
     lanes = np.arange(states.size if size else 0)
@@ -340,35 +398,39 @@ def _geometric_walk(size: int, p: float, states: np.ndarray):
     widths = np.full(lanes.size, width)
     ragged = False
     while lanes.size:
+        ws = _WORKSPACE.fit(lanes.size * width)
         lane_states = states[lanes]
-        pos = lane_uniforms(lane_states, widths)
+        pos = lane_uniforms(lane_states, widths, ws.ramp, ws.gaps, ws.words)
         np.negative(pos, out=pos)
         np.log1p(pos, out=pos)
         pos /= log_q
         np.floor(pos, out=pos)
         pos += 1.0
         if ragged:
-            padded = np.full((lanes.size, width), np.inf)
+            padded = ws.q[:lanes.size * width].reshape(lanes.size, width)
+            padded.fill(np.inf)
             padded[np.arange(width) < widths[:, None]] = pos
             pos = padded
         else:
             pos = pos.reshape(lanes.size, width)
         pos.cumsum(axis=1, out=pos)
-        pos += cursor[:, None]
-        pos -= 1.0
+        pos += (cursor - 1.0)[:, None]  # exact for every position below size
         if lanes.size == 1:  # a prefix of one lane's chunk: found by bisection
             counts = pos[0].searchsorted([size])
             inside = pos[0, :counts[0]]
         else:
-            inside = pos < size
+            inside = np.less(pos, size, out=ws.mask[:pos.size].reshape(pos.shape))
             counts = inside.sum(axis=1)
             inside = pos[inside]
-        yield lanes, lane_states, counts, inside.astype(np.int64)
-        states[lanes] = lane_states
+        linear = ws.linear[:inside.size]
+        linear[...] = inside
         full = (counts == widths).nonzero()[0]
+        if full.size:  # read before the yield: the padded positions live in ws.q
+            cursor = pos[full, widths.take(full) - 1].astype(np.int64) + 1
+        yield lanes, lane_states, counts, linear
+        states[lanes] = lane_states
         if not full.size:
             return
-        cursor = pos[full, widths.take(full) - 1].astype(np.int64) + 1
         walking = cursor < size
         lanes, cursor = lanes.take(full)[walking], cursor[walking]
         widths = np.minimum(_CHUNK, ((size - cursor) * p * 1.1).astype(np.int64) + 16)
@@ -391,6 +453,9 @@ def _pair_sampler(w: np.ndarray, total: float, loops: bool):
     pairs as ``(lanes, ends, u, v, loop_block)``: the lanes that drew it,
     the running count of pairs they kept (lane i's pairs end at ends[i]),
     the pairs lane after lane, and whether the block can hold a loop (u == v).
+    The kept pairs are owned arrays; everything else a chunk computes lives
+    in the ``_Workspace`` of the thread that runs the step, grown up front to
+    the walk's widest chunk.
     """
     n = w.size
     neg = -w
@@ -398,39 +463,40 @@ def _pair_sampler(w: np.ndarray, total: float, loops: bool):
     while bounds[-1] < n:
         bounds.append(int(np.searchsorted(neg, neg[bounds[-1]] / 2, side="right")))
     classes = list(zip(bounds, bounds[1:]))
-    blocks = []  # (u0, v0, size, p, linear -> (i, j)): pair (u0 + i, v0 + j)
+    blocks = []  # (u0, v0, size, p, pairs, shape): pair (u0 + i, v0 + j)
     for a, (a0, a1) in enumerate(classes):
         for b0, b1 in classes[a:]:
             p = min(1.0, w[a0] * w[b0] / total)
             if a0 == b0:
                 # with loops, pair (i, i) is (i, i + 1) of a strict triangle one wider
                 side = a1 - a0 + loops
-                blocks.append((a0, a0 - loops, side * (side - 1) // 2, p,
-                               partial(_triangle_pairs, side=side)))
+                blocks.append((a0, a0 - loops, side * (side - 1) // 2, p, _triangle_pairs, side))
             else:
-                blocks.append((a0, b0, (a1 - a0) * (b1 - b0), p,
-                               partial(_rectangle_pairs, width=b1 - b0)))
+                blocks.append((a0, b0, (a1 - a0) * (b1 - b0), p, _rectangle_pairs, b1 - b0))
 
-    firsts = [min(_CHUNK, int(size * p * 1.1) + 16) for _, _, size, p, _ in blocks]
+    firsts = [min(_CHUNK, int(size * p * 1.1) + 16) for _, _, size, p, _, _ in blocks]
     widest = max(firsts, default=0)
 
     def walk(states: np.ndarray):
         # lanes walked together x a block's first (widest) chunk stays within
         # the plan's widest chunk, or within the lane count for tiny plans
         bound = max(widest, states.size)
-        for (u0, v0, size, p, pairs), first in zip(blocks, firsts):
+        ws = _WORKSPACE.fit(bound)
+        for (u0, v0, size, p, pairs, shape), first in zip(blocks, firsts):
             group = max(1, bound // first)
             for g0 in range(0, states.size, group):
                 for lanes, lane_states, counts, linear in _geometric_walk(
                         size, p, states[g0:g0 + group]):
-                    u, v = pairs(linear)
+                    u, v = pairs(linear, shape, ws)
                     u += u0
                     v += v0
-                    q = w.take(u)  # q = w_u w_v / W exceeds p only where p is clamped at 1
-                    q *= w.take(v)
+                    # q = w_u w_v / W exceeds p only where p is clamped at 1
+                    q = w.take(u, out=ws.q[:u.size], mode="clip")
+                    q *= w.take(v, out=ws.thin[:u.size], mode="clip")
                     q /= total
                     q /= p
-                    keep = (lane_uniforms(lane_states, counts) < q).nonzero()[0]
+                    thin = lane_uniforms(lane_states, counts, ws.ramp, ws.thin, ws.words)
+                    keep = np.less(thin, q, out=ws.mask[:u.size]).nonzero()[0]
                     yield (lanes + g0, keep.searchsorted(counts.cumsum()), u.take(keep),
                            v.take(keep), v0 < u0)
 
@@ -637,7 +703,7 @@ def weights_for(spec: GenSpec) -> WeightSequence:
                              _require(spec, "d"), _require(spec, "m"))
 
 
-def sampler_for(spec: GenSpec, seeds=None):
+def sampler_for(spec: GenSpec, seeds=None, weights: WeightSequence | None = None):
     """Resolve a GenSpec to a seed -> Graph callable.
 
     Family parameters are validated, and the family's plan made, once, up
@@ -653,6 +719,9 @@ def sampler_for(spec: GenSpec, seeds=None):
     them in lockstep, straight to degrees (see ``_LockstepDraws``): each
     graph is the one its seed draws alone, its adjacency rebuilt from the
     seed when read.  Other families draw each seed as they would without.
+
+    ``weights``, an expected_degree spec's ``weights_for(spec)`` that the
+    caller has already built, is used instead of building it again.
     """
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}")
@@ -666,7 +735,9 @@ def sampler_for(spec: GenSpec, seeds=None):
     if spec.family == "gnp":
         walk = _gnp_walk(spec.n, _require(spec, "p"), spec.require_connected)
     else:
-        walk = _expected_degree_walk(weights_for(spec), spec.allow_self_loops, spec.strict)
+        if weights is None:
+            weights = weights_for(spec)
+        walk = _expected_degree_walk(weights, spec.allow_self_loops, spec.strict)
     single = partial(_draw, partial(_pairs_graph, spec.n, walk), CONNECT_ATTEMPTS,
                      spec.require_connected)
     if seeds is None or spec.require_connected:

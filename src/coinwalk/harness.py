@@ -39,7 +39,8 @@ from typing import Any
 
 import numpy as np
 
-from .generators import GenSpec, GenerationError, generate, sampler_for, weights_for
+from .generators import (GenSpec, GenerationError, WeightSequence, generate, sampler_for,
+                         weights_for)
 from .graph_core import MAX_REPLICATES, MAX_VERTICES, degree_statistics, is_connected
 from .moments import closed_form_moments, ensemble_estimate, er_moments, predict_scaling
 from .rng import MASK64, derive_seed, derive_seeds
@@ -422,12 +423,12 @@ def expand_grid(spec: ExperimentSpec) -> list[dict[str, Any]]:
 # execution
 
 
-def _fill_closed_forms(row: ResultRow, gen: GenSpec) -> None:
+def _fill_closed_forms(row: ResultRow, gen: GenSpec, weights: WeightSequence | None) -> None:
     """Closed-form moment predictions, where the pair model defines them."""
     if gen.family == "gnp":
         fill_row(row, er_moments(gen.n, gen.p))
     elif gen.family == "expected_degree":
-        fill_row(row, closed_form_moments(weights_for(gen), strict=gen.strict))
+        fill_row(row, closed_form_moments(weights, strict=gen.strict))
         if gen.gamma is not None:
             fill_row(row, predict_scaling(gen.gamma, gen.d, gen.m))
 
@@ -440,7 +441,9 @@ def _run_point(spec: ExperimentSpec, index: int, point: dict[str, Any]) -> Resul
     row = ResultRow(row=index, kind=spec.kind, family=family, seed=point_seed, **point)
     try:
         gen = GenSpec(family=family, seed=derive_seed(point_seed, 0), **point, **flags)
-        _fill_closed_forms(row, gen)
+        # built once: the closed forms and the sampler of this point share them
+        weights = weights_for(gen) if family == "expected_degree" else None
+        _fill_closed_forms(row, gen, weights)
         if spec.kind in ("analyze", "simulate"):
             g = generate(gen)
             stats = degree_statistics(g)
@@ -455,10 +458,11 @@ def _run_point(spec: ExperimentSpec, index: int, point: dict[str, Any]) -> Resul
                 check = verify_theorem1(g, cfg)
                 fill_row(row, cfg, check)
         elif spec.kind == "ensemble":
-            fill_row(row, ensemble_estimate(gen, spec.ensemble_replicates, seed=gen.seed))
+            fill_row(row, ensemble_estimate(gen, spec.ensemble_replicates, seed=gen.seed,
+                                            weights=weights))
         else:
             seeds = derive_seeds(gen.seed, np.arange(spec.seeds_per_point))
-            draw = sampler_for(gen, seeds)
+            draw = sampler_for(gen, seeds, weights)
             ratios = np.empty(spec.seeds_per_point)
             for j in range(spec.seeds_per_point):
                 g = draw(int(seeds[j]))

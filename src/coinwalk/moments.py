@@ -206,19 +206,21 @@ class EnsembleStats:
     ens_replicates: int
 
 
-def ensemble_estimate(spec: GenSpec, replicates: int, seed: int) -> EnsembleStats:
+def ensemble_estimate(spec: GenSpec, replicates: int, seed: int,
+                      weights: WeightSequence | None = None) -> EnsembleStats:
     """Monte Carlo moments of (D, D2) for a graph spec.
 
     Replicate r draws the graph with the derived seed (seed, r), so the
     estimate is independent of spec.seed.  The replicate seeds go to
     ``sampler_for``, so the pair models draw them in lockstep, straight to
-    degrees, each graph identical to its one-at-a-time draw.  Variances
-    use the unbiased (ddof = 1) estimator.
+    degrees, each graph identical to its one-at-a-time draw, with the
+    spec's ``weights`` if the caller has built them.  Variances use the
+    unbiased (ddof = 1) estimator.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a variance estimate")
     seeds = derive_seeds(seed, np.arange(replicates))
-    draw = sampler_for(spec, seeds)
+    draw = sampler_for(spec, seeds, weights)
     d_vals = np.empty(replicates, dtype=np.float64)
     d2_vals = np.empty(replicates, dtype=np.float64)
     for r in range(replicates):

@@ -110,29 +110,51 @@ def uniform_from_u64(words: np.ndarray) -> np.ndarray:
     return (words >> _S11).astype(np.float64) * U53_INV
 
 
-def lane_uniforms(states: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Draw ``counts[i]`` uniforms from lane i's stream, concatenated in lane order.
+def gamma_ramp(size: int) -> np.ndarray:
+    """The words ``(k+1) * gamma`` for k < size: word k of a block drawn from a lane's state."""
+    ramp = np.arange(1, size + 1, dtype=np.uint64)
+    ramp *= GAMMA_U64
+    return ramp
+
+
+def lane_uniforms(states: np.ndarray, counts: np.ndarray, ramp: np.ndarray,
+                  out: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Draw ``counts[i]`` uniforms from lane i's stream into ``out``, in lane order.
 
     Lane i is the stream ``Stream(states[i])``: its k-th uniform comes from
     ``mix64(states[i] + (k+1) * gamma)``, so the block equals the
     concatenated ``Stream(s).uniforms(c)`` over the lanes bit for bit, and
     ``states`` (1-d uint64) advances in place by ``counts`` (1-d int64), as
-    each stream's state would.  Word t of the block, the k-th of a lane
-    whose block ends at e, is ``(states[i] + counts[i] * gamma) - (e - 1 - t) * gamma``.
+    each stream's state would.
+
+    The caller owns the buffers and may reuse them from draw to draw:
+    ``ramp`` is ``gamma_ramp(cap)``, and ``out`` (float64) and ``words``
+    (uint64) are scratch, all at least ``sum(counts)`` long.  Word t of the
+    block, in the span [s, e) of lane i, is ``ramp[t] + (states[i] - s * gamma)``:
+    the ramp plus the lane's origin, which is its state when there is one
+    lane and is repeated over its span when there are several (the one
+    temporary of the block's size, and only then).  The words are mixed in
+    ``words``, with ``out``'s memory as the mixer's scratch, and scaled
+    into ``out``.  Returns the block, the first ``sum(counts)`` entries of
+    ``out``.
     """
-    steps = counts.astype(np.uint64)
-    ends = steps.cumsum()
-    words = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.uint64)
-    words *= GAMMA_U64
+    ends = counts.cumsum()
+    total = int(ends[-1]) if ends.size else 0
+    block, scratch = words[:total], out[:total]
     # 1-d uint64 arithmetic wraps silently; on 0-d values numpy would warn
+    if states.size == 1:
+        np.add(ramp[:total], states, out=block)
+    else:
+        origins = (ends - counts).astype(np.uint64)
+        origins *= GAMMA_U64
+        np.subtract(states, origins, out=origins)
+        np.add(ramp[:total], origins.repeat(counts), out=block)
+    steps = counts.astype(np.uint64)
     steps *= GAMMA_U64
     states += steps
-    ends -= np.uint64(1)
-    ends *= GAMMA_U64
-    origins = states - ends
-    words += origins if origins.size == 1 else origins.repeat(counts)
-    mix64_into(words, words, np.empty_like(words))
-    return uniform_from_u64(words)
+    mix64_into(block, block, scratch.view(np.uint64))
+    block >>= _S11
+    return np.multiply(block, U53_INV, out=scratch)
 
 
 class Stream:

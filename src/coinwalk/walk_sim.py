@@ -50,6 +50,12 @@ _COMPACT_SHARE = 0.25
 
 _TOP_BIT = np.uint64(63)
 
+#: A lane's two int32 positions, read as one uint64 word a + b * 2**32: the
+#: word times 1 - 2**32 is a + ((b - a) mod 2**32) * 2**32 modulo 2**64,
+#: below 2**32 exactly when a == b, that is, when the walkers coincide.
+_MEET_MULT = np.uint64((1 - (1 << 32)) % (1 << 64))
+_HALF_RANGE = np.uint64(1 << 32)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -183,7 +189,8 @@ def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
     draws three words and jumps once per step, so the lane keeps only Y's
     jump count and X's is the step count minus it.  Coincidence is added
     only on the lanes whose walkers share a vertex, found with
-    ``flatnonzero``.
+    ``flatnonzero`` on one contiguous test per lane's (int32, int32) row
+    read as a uint64 word (see ``_MEET_MULT``).
 
     Compaction is lazy.  A lane that crosses the horizon is written to the
     output slice once and masked off by ``alive``; it keeps stepping, but
@@ -208,6 +215,7 @@ def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
     tau = np.zeros(width)
     idx = np.arange(width)
     alive = np.ones(width, dtype=bool)
+    same = np.empty(width, dtype=bool)
     lanes2 = 2 * idx
     word, tmp = np.empty(width, dtype=np.uint64), np.empty(width, dtype=np.uint64)
     u, t_next = np.empty(width), np.empty(width)
@@ -221,7 +229,8 @@ def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
         np.log1p(u, out=u)
         u *= -0.5
         np.add(t, u, out=t_next)
-        meet = np.flatnonzero(pos[:, 0] == pos[:, 1])
+        np.multiply(pos.view(np.uint64).reshape(-1), _MEET_MULT, out=word)
+        meet = np.flatnonzero(np.less(word, _HALF_RANGE, out=same))
         if meet.size:
             tau[meet] += np.minimum(t_next.take(meet), t_horizon) - t.take(meet)
         ended = np.flatnonzero((t_next >= t_horizon) & alive)
@@ -242,8 +251,8 @@ def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
                 state, pos, jumps_y, idx, t_next, tau = (
                     a.take(live, axis=0) for a in (state, pos, jumps_y, idx, t_next, tau))
                 width, dead = live.size, 0
-                alive, lanes2, word, tmp, u, t, flat = (
-                    a[:width] for a in (alive, lanes2, word, tmp, u, t, flat))
+                alive, same, lanes2, word, tmp, u, t, flat = (
+                    a[:width] for a in (alive, same, lanes2, word, tmp, u, t, flat))
                 alive[:] = True
         t, t_next = t_next, t
         # Row selection keeps ``pos`` C-contiguous, so this reshape is a

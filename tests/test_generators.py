@@ -8,7 +8,10 @@ tolerance, on graphs small enough to enumerate.
 
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -450,17 +453,83 @@ def test_lockstep_sweep_draw_holds_no_edge_list():
     assert peak < 16 * min(edges), (peak, edges)
 
 
-def one_stream_walk(size, p, stream):
-    """The positions of range(size) kept by Bernoulli(p), one chunk after another."""
+def test_second_lockstep_draw_reuses_the_workspace():
+    # Once a first replicate has grown this thread's workspace, a sweep
+    # replicate at n = 2e5 allocates its offsets row, 8 (n + 1) bytes, and
+    # per chunk only the kept pairs u, v and their index, each at most
+    # _CHUNK int64s (0.5 MB), which go before the next chunk's come.
+    # Measured: 2.82 MB here; with a chunk's temporaries allocated afresh,
+    # 6.45 MB.
+    spec = GenSpec("expected_degree", n=200000, gamma=2.5, d=5.0, m=math.sqrt(1e6),
+                   strict=False)
+    seeds = [derive_seed(71, j) for j in range(2)]
+    draw = sampler_for(spec, seeds)
+    draw(seeds[0])
+    tracemalloc.start()
+    try:
+        g = draw(seeds[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.offsets.nbytes + 3 * 8 * generators._CHUNK, peak
+
+
+def test_concurrent_draws_from_one_sampler_equal_serial_draws(monkeypatch):
+    # four threads walk one plan at once, switching often, each in its own workspace
+    monkeypatch.setattr(generators, "_CHUNK", 2048)
+    spec = GenSpec("expected_degree", n=20000, gamma=2.5, d=5.0, m=math.sqrt(1e5),
+                   strict=False)
+    draw = sampler_for(spec)
+    seeds = [derive_seed(53, j) for j in range(8)]
+    serial = [draw(s) for s in seeds]
+    threads = 4
+    start = threading.Barrier(threads)
+
+    def draw_all(part):
+        start.wait(timeout=60)
+        return [draw(s) for s in part]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(draw_all, seeds[t::threads]) for t in range(threads)]
+            drawn = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for t, graphs in enumerate(drawn):
+        assert graphs == serial[t::threads]
+
+
+def one_stream_chunks(size, p, stream):
+    """(width, kept positions) of each chunk of one stream's walk of range(size)."""
     log_q = math.log1p(-p) if p < 1.0 else -math.inf
-    cursor, kept = 0, []
+    cursor, chunks = 0, []
     while cursor < size:
         chunk = min(generators._CHUNK, int((size - cursor) * p * 1.1) + 16)
         pos = np.cumsum(np.floor(np.log1p(-stream.uniforms(chunk)) / log_q) + 1.0) + cursor - 1.0
         inside = pos[pos < size]
-        kept.append(inside.astype(np.int64))
+        chunks.append((chunk, inside.astype(np.int64)))
         cursor = size if inside.size < chunk else int(pos[-1]) + 1
-    return np.concatenate(kept)
+    return chunks
+
+
+def one_stream_walk(size, p, stream):
+    """The positions of range(size) kept by Bernoulli(p), one chunk after another."""
+    return np.concatenate([kept for _, kept in one_stream_chunks(size, p, stream)])
+
+
+def lane_walks(size, p, seeds):
+    """Each lane's positions from one ``_geometric_walk`` over all seeds, and its final state."""
+    states = np.array(seeds, dtype=np.uint64)
+    kept = [[np.empty(0, np.int64)] for _ in seeds]
+    widths = []
+    for walking, _, counts, linear in generators._geometric_walk(size, p, states):
+        widths.append(walking.size)
+        # the positions live in the thread's workspace until the next step
+        for lane, part in zip(walking, np.split(linear.copy(), np.cumsum(counts)[:-1])):
+            kept[lane].append(part)
+    return [np.concatenate(parts) for parts in kept], states, widths
 
 
 def test_geometric_walk_lanes_match_one_stream_walks():
@@ -468,17 +537,31 @@ def test_geometric_walk_lanes_match_one_stream_walks():
     # at p = 0.01; walked together, those lanes draw ragged later chunks
     size, p, lanes = 16000, 0.01, 1000
     seeds = [derive_seed(41, j) for j in range(lanes)]
-    states = np.array(seeds, dtype=np.uint64)
-    kept = [[] for _ in range(lanes)]
-    widths_seen = []
-    for walking, lane_states, counts, linear in generators._geometric_walk(size, p, states):
-        widths_seen.append(walking.size)
-        for lane, part in zip(walking, np.split(linear, np.cumsum(counts)[:-1])):
-            kept[lane].append(part)
+    kept, states, widths_seen = lane_walks(size, p, seeds)
     assert len(widths_seen) > 1 and widths_seen[1] > 1  # a later chunk, several lanes
-    for seed, lane_state, parts in zip(seeds, states, kept):
+    for seed, lane_state, positions in zip(seeds, states, kept):
         stream = Stream(seed)
-        assert np.array_equal(np.concatenate(parts), one_stream_walk(size, p, stream))
+        assert np.array_equal(positions, one_stream_walk(size, p, stream))
+        assert int(lane_state) == stream.state
+
+
+def test_geometric_walk_pads_a_shorter_chunk_past_the_range(monkeypatch):
+    # Chunks capped at _CHUNK = 128 leave each lane a different remainder, so
+    # the second chunks are ragged.  Lane 58's is narrower than the widest,
+    # lies wholly inside range(4000) and is followed by a third: only +inf
+    # padding keeps its padded slots out of its kept positions and lets it
+    # walk on (a pad of 0 would repeat its last position there).
+    monkeypatch.setattr(generators, "_CHUNK", 128)
+    size, p = 4000, 0.05
+    seeds = [derive_seed(43, j) for j in range(100)]
+    chunks = [one_stream_chunks(size, p, Stream(s)) for s in seeds]
+    widest = max(lane[1][0] for lane in chunks if len(lane) > 1)
+    width, positions = chunks[58][1]
+    assert width < widest and positions.size == width and len(chunks[58]) == 3
+    kept, states, _ = lane_walks(size, p, seeds)
+    for seed, lane_state, positions in zip(seeds, states, kept):
+        stream = Stream(seed)
+        assert np.array_equal(positions, one_stream_walk(size, p, stream))
         assert int(lane_state) == stream.state
 
 
@@ -494,7 +577,7 @@ def test_triangle_inversion_is_exact_on_small_sides():
         ref_i = np.repeat(rows, side - 1 - rows)
         linear = np.arange(side * (side - 1) // 2, dtype=np.int64)
         ref_j = linear - triangle_row_starts(side, ref_i) + ref_i + 1
-        i, j = generators._triangle_pairs(linear, side)
+        i, j = generators._triangle_pairs(linear, side, generators._Workspace().fit(linear.size))
         assert i.dtype == j.dtype == np.int64
         assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j), side
 
@@ -508,7 +591,7 @@ def test_triangle_inversion_is_exact_at_row_ends_of_the_largest_side():
     first = triangle_row_starts(side, rows)
     last = triangle_row_starts(side, rows + 1) - 1
     for linear, ref_j in ((first, rows + 1), (last, np.full(rows.size, side - 1))):
-        i, j = generators._triangle_pairs(linear, side)
+        i, j = generators._triangle_pairs(linear, side, generators._Workspace().fit(linear.size))
         assert np.array_equal(i, rows) and np.array_equal(j, ref_j)
 
 

@@ -273,8 +273,8 @@ def test_degree_rows_leave_the_adjacency_unbuilt(handed_pairs, monkeypatch):
     # degrees: no edge list is handed to graph_core, and no adjacency is built
     drawn = []
 
-    def spy_sampler_for(spec, seeds=None):
-        draw = generators.sampler_for(spec, seeds)
+    def spy_sampler_for(spec, seeds=None, weights=None):
+        draw = generators.sampler_for(spec, seeds, weights)
         return lambda seed: drawn.append(draw(seed)) or drawn[-1]
 
     monkeypatch.setattr(harness, "sampler_for", spy_sampler_for)

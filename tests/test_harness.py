@@ -9,6 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from coinwalk import generators
 from coinwalk.cli import EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_SPEC, main
 from coinwalk.generators import gen_complete, gen_expected_degree, uniform_weights
 from coinwalk.graph_core import MAX_REPLICATES, MAX_VERTICES, build_graph
@@ -294,13 +295,24 @@ def test_run_analyze_exact_values():
         assert row.wall_time_s is not None
 
 
-def test_run_is_jobs_invariant():
+def test_run_is_jobs_invariant(monkeypatch):
+    # sweep and ensemble jobs draw their points at once, each thread in its
+    # own pair-sampler workspace; a small chunk makes each walk many chunks
+    monkeypatch.setattr(generators, "_CHUNK", 1024)
     text = spec_text(graph={"family": "gnp", "n": [30, 40, 50], "p": [0.1, 0.2]})
-    seq = run_experiment(parse_spec(text), jobs=1)
-    par = run_experiment(parse_spec(text), jobs=4)
-    for a, b in zip(seq, par):
-        a.wall_time_s = b.wall_time_s = None
-        assert a == b
+    sweep = json.dumps({"kind": "sweep", "seed": 7, "sweep": {
+        "n": 20000, "gamma": [2.2, 2.5, 3.0, 3.5], "d": 5, "m": "sqrt_nd",
+        "seeds_per_point": 2, "strict": False}})
+    ensemble = spec_text(kind="ensemble", ensemble={"replicates": 10}, graph={
+        "family": "expected_degree", "n": [2000, 3000, 4000], "gamma": [2.5, 3.0], "d": 5,
+        "m": "sqrt_nd", "strict": False})
+    for doc in (text, sweep, ensemble):
+        seq = run_experiment(parse_spec(doc), jobs=1)
+        par = run_experiment(parse_spec(doc), jobs=4)
+        for a, b in zip(seq, par):
+            assert a.error is None
+            a.wall_time_s = b.wall_time_s = None
+            assert a == b
     with pytest.raises(ValueError, match="jobs"):
         run_experiment(parse_spec(text), jobs=0)
 

@@ -18,6 +18,7 @@ from coinwalk.rng import (
     Stream,
     derive_seed,
     derive_seeds,
+    gamma_ramp,
     lane_uniforms,
     mix64,
     mix64_into,
@@ -107,7 +108,13 @@ def test_lane_draw_matches_concatenated_streams(counts):
     states = np.array(seeds, dtype=np.uint64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = lane_uniforms(states, np.array(counts, dtype=np.int64))
+        # buffers longer than the block, and dirty, as a reused workspace's are
+        total = sum(counts)
+        out = np.full(total + 3, np.nan)
+        words = np.full(total + 3, MASK64, dtype=np.uint64)
+        got = lane_uniforms(states, np.array(counts, dtype=np.int64), gamma_ramp(total + 3),
+                            out, words)
+    assert got.base is out
     streams = [Stream(s) for s in seeds]
     want = [stream.uniforms(c) for stream, c in zip(streams, counts)]
     assert np.array_equal(got, np.concatenate([np.empty(0)] + want))

@@ -65,7 +65,9 @@ draws from ``derive_seed(seed, a)``; the first graph (connected, if asked) wins.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 import sys
 import threading
 import warnings
@@ -106,12 +108,14 @@ class WeightSequence:
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(w)):
+        # a non-increasing run from a finite w[0] down to a positive w[-1] is
+        # finite and positive throughout; the order test is false at a NaN
+        if not math.isfinite(w[0]):
             raise ValueError("weights must be finite")
-        if w[-1] <= 0:
+        if not (w[1:] <= w[:-1]).all():
+            raise ValueError("weights must be non-increasing and not NaN")
+        if not w[-1] > 0:
             raise ValueError("weights must be positive")
-        if np.any(w[1:] > w[:-1]):
-            raise ValueError("weights must be non-increasing")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -458,10 +462,12 @@ def _pair_sampler(w: np.ndarray, total: float, loops: bool):
     the walk's widest chunk.
     """
     n = w.size
-    neg = -w
+    # a class ends at the first weight below half its first; the key negates
+    # only the weights the bisection probes, so no negated copy of w is made
     bounds = [0]
     while bounds[-1] < n:
-        bounds.append(int(np.searchsorted(neg, neg[bounds[-1]] / 2, side="right")))
+        first = bounds[-1]
+        bounds.append(bisect.bisect_right(w, -w[first] / 2, lo=first, key=operator.neg))
     classes = list(zip(bounds, bounds[1:]))
     blocks = []  # (u0, v0, size, p, pairs, shape): pair (u0 + i, v0 + j)
     for a, (a0, a1) in enumerate(classes):

@@ -5,50 +5,53 @@ a neighbor chosen uniformly (a self-loop counts as one neighbor choice,
 so traversing it is a jump that lands where it started).  Both walkers
 start from the degree-proportional stationary distribution.  The
 coincidence time tau is the total time the two occupy the same vertex up
-to the horizon, and the infection probability is 1 - exp(-beta * tau).
+to the horizon t, and the infection probability is 1 - exp(-beta * tau).
 
-The simulation runs on the merged event process: with two independent
-rate-1 clocks, events arrive at rate 2 and a fair coin decides which
-walker jumps.  Coincidence accrues between events, where positions are
-constant.  Both engines keep the walkers' positions as pairs indexed by
-the mover (0 for X, 1 for Y), so an event touches only the mover's
-entry.  The scalar engine counts each walker's jumps; the batch engine
-counts Y's jumps and the lockstep steps, whose difference is X's.  The
-batch engine adds to tau only on the lanes where the walkers meet, and
-compacts lazily: a lane past the horizon is written out once and masked
-off, and the finished lanes are dropped together once a fixed share of
-the chunk is done, not at every step where one finishes.
+The simulation runs on the jump chain of the merged event process.  With
+two independent rate-1 clocks, events arrive at rate 2 and a fair coin
+decides which walker jumps, so the number of events N in [0, t] is
+Poisson(2t).  Given N, the event times are uniform order statistics on
+[0, t] (Ross, *Stochastic Processes*, Thm 2.3.1): the N + 1 intervals
+between them are t times a Dirichlet(1, ..., 1) vector, independent of the
+coins and destinations.  If the walkers share a vertex on m of those
+intervals, tau is therefore t times the sum of m of the Dirichlet
+coordinates, which is t * Beta(m, N + 1 - m): 0 when m = 0, t when
+m = N + 1, and otherwise t * E_1..m / E_1..N+1 for N + 1 Exp(1) draws.  No
+holding time is drawn per event.
 
 Draw order: every replicate owns one splitmix64 stream, seeded with the
-replicate seed.  It first draws X's initial vertex, then Y's; each event
-then draws a holding time and, unless the horizon was crossed, a coin
-(below 1/2 moves X) and then the mover's destination.  Every draw comes
-from its own counter position of the stream, so the two walkers' draws
-are distinct.  ``simulate_pair`` is the scalar reference;
-``simulate_batch`` runs many replicates in vectorized lockstep and
-produces bit-identical results replicate for replicate, for any chunk
-size (both paths evaluate the same numpy kernels, or exact rewrites of
-them, on the same draws).
+replicate seed.  It draws X's initial vertex, then Y's, then the event
+count N (by inverting a cumulative Poisson table, as the start vertices
+invert the stationary one), then one word per event: bit 0 is the coin
+(1 moves Y) and the top 53 bits pick the mover's destination.  Only when
+0 < m < N + 1 does it go on to draw the N + 1 uniforms of the Exp(1)
+variables.  ``simulate_pair`` is the scalar reference; ``simulate_batch``
+runs many replicates in vectorized lockstep and produces bit-identical
+results replicate for replicate, for any chunk size (both paths evaluate
+the same numpy kernels, or exact rewrites of them, on the same draws).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .graph_core import Graph, theorem1_bounds
-from .rng import GAMMA_U64, U53_INV, Stream, derive_seeds, mix64_into, mix64_vec, uniform_from_u64
+from .rng import (GAMMA_U64, U53_INV, Stream, derive_seeds, gamma_ramp, lane_uniforms,
+                  mix64_into, mix64_vec, uniform_from_u64)
 
 #: Replicates that ``simulate_batch`` advances in lockstep at a time.  It
 #: bounds the engine's working memory; results do not depend on it.
 CHUNK_SIZE = 1 << 15
 
-#: Share of a chunk's lanes that must be done before they are compacted away.
-_COMPACT_SHARE = 0.25
-
-_TOP_BIT = np.uint64(63)
+#: The event-count table spans 2t +- 12 standard deviations of Poisson(2t),
+#: plus 30 entries on the right for small t: the mass outside it is below
+#: 1e-25, far under a uniform's 2**-53.
+_POISSON_SPREAD = 12.0
+_POISSON_TAIL = 30
 
 #: A lane's two int32 positions, read as one uint64 word a + b * 2**32: the
 #: word times 1 - 2**32 is a + ((b - a) mod 2**32) * 2**32 modulo 2**64,
@@ -136,12 +139,61 @@ def _stationary_cumsum(g: Graph) -> np.ndarray:
     return np.cumsum(g.degrees, dtype=np.float64)
 
 
+@lru_cache(maxsize=8)
+def _event_count_cdf(t_horizon: float) -> tuple[int, np.ndarray]:
+    """``(lo, cdf)``: cdf[i] = P(N <= lo + i) for the event count N ~ Poisson(2t).
+
+    The table spans lam +- 12 sqrt(lam) (plus a short right tail for small
+    lam), so its length grows like sqrt(lam).  The pmf is built outward from
+    the mode by the ratios p(k) / p(k - 1) = lam / k and normalized over the
+    window, and the table ends at its first entry equal to 1.0, so
+    ``lo + searchsorted(cdf, u, side="right")`` is N for every u in [0, 1).
+    It is built on first use for each horizon and cached.
+    """
+    lam = 2.0 * t_horizon
+    spread = _POISSON_SPREAD * math.sqrt(lam)
+    lo = max(0, math.floor(lam - spread))
+    hi = math.ceil(lam + spread) + _POISSON_TAIL
+    mode = math.floor(lam)
+    pmf = np.empty(hi - lo + 1)
+    pmf[mode - lo] = 1.0
+    np.cumprod(lam / np.arange(mode + 1, hi + 1), out=pmf[mode - lo + 1:])
+    pmf[:mode - lo] = np.cumprod(np.arange(mode, lo, -1) / lam)[::-1]
+    cdf = pmf.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf[:int(cdf.searchsorted(1.0)) + 1]
+    cdf.setflags(write=False)
+    return lo, cdf
+
+
+def _shared_fraction(uniforms: np.ndarray, counts: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    """Per lane, E_1..m / E_1..c for the lane's c = counts[i] Exp(1) variables.
+
+    ``uniforms`` holds each lane's c uniforms back to back, lane after lane;
+    E = -log1p(-u), and m = shared[i], with 0 < m < c.  The result is
+    Beta(m, c - m).  It is computed with the signs of all E flipped, which
+    leaves the ratio exact, and each lane's two sums run over its own
+    segment only, so a lane's value does not depend on its neighbours.  The
+    denominator is the sum of the two parts, so the ratio is at most 1.
+    ``uniforms`` is overwritten.
+    """
+    logs = np.log1p(np.negative(uniforms, out=uniforms), out=uniforms)
+    cuts = np.empty(2 * counts.size, dtype=np.intp)
+    np.cumsum(counts[:-1], out=cuts[2::2])
+    cuts[0] = 0
+    np.add(cuts[0::2], shared, out=cuts[1::2])
+    sums = np.add.reduceat(logs, cuts)
+    num, rest = sums[0::2], sums[1::2]
+    return num / (num + rest)
+
+
 def simulate_pair(g: Graph, t_horizon: float, beta: float, seed: int) -> CoincidenceResult:
     """Run one replicate event by event (scalar reference path).
 
     Every draw comes from ``Stream(seed)`` in the module's draw order.  All
     float arithmetic goes through the same numpy scalar kernels the batch
-    path uses, so results match ``simulate_batch`` bit for bit.
+    path uses, or through ``_shared_fraction`` itself, so results match
+    ``simulate_batch`` bit for bit.
     """
     if t_horizon < 0:
         raise ValueError("t_horizon must be non-negative")
@@ -154,24 +206,28 @@ def simulate_pair(g: Graph, t_horizon: float, beta: float, seed: int) -> Coincid
     stream = Stream(seed)
     total = cum[-1]
     pos = [int(np.searchsorted(cum, stream.uniform() * total, side="right")) for _ in range(2)]
+    lo, cdf = _event_count_cdf(t_horizon)
+    events = lo + int(np.searchsorted(cdf, stream.uniform(), side="right"))
+    shared = int(pos[0] == pos[1])
     jumps = [0, 0]
     offs, nbrs, degs = g.offsets, g.neighbors, g.degrees
-    t = 0.0
-    tau = 0.0
-    while True:
-        dt = -0.5 * float(np.log1p(-stream.uniform()))
-        t_next = t + dt
-        if pos[0] == pos[1]:
-            tau += min(t_next, t_horizon) - t
-        if t_next >= t_horizon:
-            break
-        t = t_next
-        mover = int(stream.uniform() >= 0.5)
+    for _ in range(events):
+        word = stream.next_u64()
+        mover = word & 1
         v = pos[mover]
         deg = int(degs[v])
-        k = min(int(stream.uniform() * float(deg)), deg - 1)
+        k = min(int((word >> 11) * U53_INV * float(deg)), deg - 1)
         pos[mover] = int(nbrs[offs[v] + k])
         jumps[mover] += 1
+        shared += pos[0] == pos[1]
+    if shared == 0:
+        tau = 0.0
+    elif shared > events:
+        tau = float(t_horizon)
+    else:
+        frac = _shared_fraction(stream.uniforms(events + 1), np.array([events + 1]),
+                                np.array([shared]))
+        tau = float(t_horizon * frac[0])
     return CoincidenceResult(
         tau=tau,
         infection_prob=float(-np.expm1(-beta * tau)),
@@ -180,29 +236,31 @@ def simulate_pair(g: Graph, t_horizon: float, beta: float, seed: int) -> Coincid
 
 def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
                     rep_seeds: np.ndarray, out: tuple[np.ndarray, ...], base: int) -> None:
-    """Advance one chunk of replicates in lockstep until all cross the horizon.
+    """Run one chunk of replicates in lockstep on the jump chain.
 
     Lane i's stream state is ``state[i]``, which starts at the replicate
     seed, and its walkers' positions are row i of the C-contiguous
     (lanes, 2) array ``pos`` (vertex ids in the adjacency's int32), so flat
-    index 2*i + mover names the one entry an event changes.  Every lane
-    draws three words and jumps once per step, so the lane keeps only Y's
-    jump count and X's is the step count minus it.  Coincidence is added
-    only on the lanes whose walkers share a vertex, found with
-    ``flatnonzero`` on one contiguous test per lane's (int32, int32) row
-    read as a uint64 word (see ``_MEET_MULT``).
+    index 2*i + mover names the one entry an event changes.  After the
+    start vertices and the event counts are drawn, the lanes are sorted by
+    event count, largest first: the lanes that step at step s are then the
+    prefix of those with more than s events, and every array is used
+    through that shrinking prefix.  A step draws one word per live lane,
+    moves the mover and counts, per lane, Y's jumps and the intervals
+    spent together (one contiguous test per lane's (int32, int32) row read
+    as a uint64 word, see ``_MEET_MULT``).  X's jumps are the event count
+    minus Y's.
 
-    Compaction is lazy.  A lane that crosses the horizon is written to the
-    output slice once and masked off by ``alive``; it keeps stepping, but
-    nothing reads its state again.  Only when ``_COMPACT_SHARE`` of the
-    lanes are done does one ``take`` per state array drop them all.  The
-    per-step words and floats live in scratch buffers that are reused, not
-    reallocated.
+    At the end, the lanes that met on some but not all intervals draw their
+    Exp(1) variables in groups that fit buffers of max(CHUNK_SIZE, largest
+    count) entries, and every lane is written to the output slice once,
+    through the inverse of the sort.
     """
     taus_out, jumps_out, final_out = out
     total = cum[-1]
     offs, nbrs = g.offsets, g.neighbors
     degs_f = g.degrees.astype(np.float64)
+    lo, cdf = _event_count_cdf(t_horizon)
     width = rep_seeds.size
     state = rep_seeds.copy()
     pos = np.empty((width, 2), dtype=nbrs.dtype)
@@ -210,77 +268,74 @@ def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
         state += GAMMA_U64
         pos[:, walker] = np.searchsorted(cum, uniform_from_u64(mix64_vec(state)) * total,
                                          side="right")
-    jumps_y = np.zeros(width, dtype=np.int64)
-    t = np.zeros(width)
-    tau = np.zeros(width)
-    idx = np.arange(width)
-    alive = np.ones(width, dtype=bool)
-    same = np.empty(width, dtype=bool)
-    lanes2 = 2 * idx
+    state += GAMMA_U64
+    events = np.searchsorted(cdf, uniform_from_u64(mix64_vec(state)), side="right")
+    events += lo
+    order = np.argsort(-events, kind="stable")
+    events, state = events.take(order), state.take(order)
+    pos = pos.take(order, axis=0)
+    pos_f, pos_u = pos.reshape(-1), pos.view(np.uint64).reshape(-1)
+    n_max = int(events[0])
+    # lanes with more than s events, for s < n_max: the prefix that steps at s
+    lives = width - np.bincount(events, minlength=n_max + 1).cumsum()[:n_max]
     word, tmp = np.empty(width, dtype=np.uint64), np.empty(width, dtype=np.uint64)
-    u, t_next = np.empty(width), np.empty(width)
-    flat = np.empty(width, dtype=np.int64)
-    dead = 0
-    step = 0
-    while True:
-        state += GAMMA_U64
-        # dt = -0.5 * log1p(-uniform), the negation folded into the scale
-        _scale_top53(mix64_into(state, word, tmp), -U53_INV, u)
-        np.log1p(u, out=u)
-        u *= -0.5
-        np.add(t, u, out=t_next)
-        np.multiply(pos.view(np.uint64).reshape(-1), _MEET_MULT, out=word)
-        meet = np.flatnonzero(np.less(word, _HALF_RANGE, out=same))
-        if meet.size:
-            tau[meet] += np.minimum(t_next.take(meet), t_horizon) - t.take(meet)
-        ended = np.flatnonzero((t_next >= t_horizon) & alive)
-        if ended.size:
-            alive[ended] = False
-            done = base + idx.take(ended)
-            taus_out[done] = tau.take(ended)
-            jy = jumps_y.take(ended)
-            jumps_out[done, 0] = step - jy
-            jumps_out[done, 1] = jy
-            final_out[done] = pos.take(ended, axis=0)
-            dead += ended.size
-            if dead == width:
-                return
-            if dead >= _COMPACT_SHARE * width:
-                live = np.flatnonzero(alive)
-                # take() along axis 0: boolean masks copy (lanes, 2) rows an order slower
-                state, pos, jumps_y, idx, t_next, tau = (
-                    a.take(live, axis=0) for a in (state, pos, jumps_y, idx, t_next, tau))
-                width, dead = live.size, 0
-                alive, same, lanes2, word, tmp, u, t, flat = (
-                    a[:width] for a in (alive, same, lanes2, word, tmp, u, t, flat))
-                alive[:] = True
-        t, t_next = t_next, t
-        # Row selection keeps ``pos`` C-contiguous, so this reshape is a
-        # view and writes through it reach the positions.
-        pos_f = pos.reshape(-1)
-        state += GAMMA_U64
-        # The coin's uniform is >= 1/2 (Y moves) exactly when its word's top bit is set.
-        coin = np.right_shift(mix64_into(state, word, tmp), _TOP_BIT, out=word).view(np.int64)
-        jumps_y += coin
-        step += 1
-        np.add(lanes2, coin, out=flat)
+    u, flat = np.empty(width), np.empty(width, dtype=np.int64)
+    same = np.less(np.multiply(pos_u, _MEET_MULT, out=word), _HALF_RANGE)
+    shared = same.astype(np.int64)
+    jumps_y = np.zeros(width, dtype=np.int64)
+    lanes2 = 2 * np.arange(width)
+    for live in lives.tolist():
+        st, w, tm, uu, fl = state[:live], word[:live], tmp[:live], u[:live], flat[:live]
+        st += GAMMA_U64
+        mix64_into(st, w, tm)
+        coin = np.bitwise_and(w, 1, out=tm).view(np.int64)
+        jumps_y[:live] += coin
+        np.add(lanes2[:live], coin, out=fl)
         # take() converts int32 indices on every call: one conversion serves both gathers
-        v = pos_f.take(flat).astype(np.intp)
+        v = pos_f.take(fl).astype(np.intp)
         deg = degs_f.take(v)
-        state += GAMMA_U64
-        _scale_top53(mix64_into(state, word, tmp), U53_INV, u)
-        u *= deg
+        np.right_shift(w, 11, out=w)
+        np.multiply(w, U53_INV, out=uu)
+        uu *= deg
         deg -= 1.0
         # min(floor(x), deg - 1) == floor(min(x, deg - 1)): the clamp on one gather
-        k = np.minimum(u, deg, out=u).astype(np.int64)
+        k = np.minimum(uu, deg, out=uu).astype(np.int64)
         k += offs.take(v)
-        pos_f[flat] = nbrs.take(k)
+        pos_f[fl] = nbrs.take(k)
+        np.multiply(pos_u[:live], _MEET_MULT, out=w)
+        shared[:live] += np.less(w, _HALF_RANGE, out=same[:live])
+    tau = np.zeros(width)
+    tau[shared > events] = t_horizon
+    part = np.flatnonzero((shared > 0) & (shared <= events))
+    if part.size:
+        frac = _shared_fractions_in_groups(state.take(part), events.take(part) + 1,
+                                           shared.take(part), max(CHUNK_SIZE, n_max + 1))
+        tau[part] = t_horizon * frac
+    done = base + order
+    taus_out[done] = tau
+    jumps_out[done, 0] = events - jumps_y
+    jumps_out[done, 1] = jumps_y
+    final_out[done] = pos
 
 
-def _scale_top53(words: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
-    """``uniform_from_u64(words) * scale`` into ``out``, shifting ``words`` in place."""
-    np.right_shift(words, 11, out=words)
-    return np.multiply(words, scale, out=out)
+def _shared_fractions_in_groups(states: np.ndarray, counts: np.ndarray, shared: np.ndarray,
+                                cap: int) -> np.ndarray:
+    """``_shared_fraction`` for lanes whose streams continue at ``states``.
+
+    Lane i draws its counts[i] uniforms from its own stream.  The lanes are
+    taken in consecutive groups of at most ``cap`` draws in all (no lane
+    needs more), which reuse one pair of buffers.
+    """
+    ramp, buf, words = gamma_ramp(cap), np.empty(cap), np.empty(cap, dtype=np.uint64)
+    ends = counts.cumsum()
+    frac = np.empty(counts.size)
+    a = 0
+    while a < counts.size:
+        b = int(ends.searchsorted((ends[a - 1] if a else 0) + cap, side="right"))
+        block = lane_uniforms(states[a:b], counts[a:b], ramp, buf, words)
+        frac[a:b] = _shared_fraction(block, counts[a:b], shared[a:b])
+        a = b
+    return frac
 
 
 def simulate_batch(g: Graph, cfg: SimConfig) -> ReplicateBatch:

@@ -219,6 +219,10 @@ def test_weight_sequence_validation():
         WeightSequence(weights=np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="finite"):
         WeightSequence(weights=np.array([np.inf, 1.0]))
+    with pytest.raises(ValueError, match="NaN"):
+        WeightSequence(weights=np.array([3.0, np.nan, 1.0]))
+    with pytest.raises(ValueError, match="positive"):
+        WeightSequence(weights=np.array([3.0, -np.inf]))
     with pytest.raises(ValueError, match="non-empty"):
         WeightSequence(weights=np.array([]))
     w = WeightSequence(weights=np.array([3.0, 1.0]))

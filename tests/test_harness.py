@@ -681,8 +681,8 @@ GOLDEN_SHA256 = {
         "bc20acc30e5b697dcaf42ea6f1bad9c19a548c57d0c8471bbe93f7db21251a3a",
         "806f6032b624817e1ecb067962215b8165c54617926f281528328845302c2c2c"),
     "simulate-random-regular": (
-        "146e6b6613474faca3fe62bd573b821d4645e62c1c80cd5dfc128109e6391397",
-        "9fddb150a61f92e082fd7fa8611c414c03224e0a9cc5d7dbbc62950db61186a1"),
+        "8e29d2ed14578a9108b2e53dc96a4b5d644c1cb5b183182cde304607d36f3869",
+        "d5bfb4325245bc2248f4cf2b77ba7e846ccd1fc595d466e31056283a17dc7e52"),
     "ensemble-expected-degree-w": (
         "132f161d7e6430d61bfddb4c1cc382f6c0ec2d8e83582845253df81210486222",
         "95fa57028a280e00959365071a2ab1594dc555ec885233c4a5c009a6eacf7014"),

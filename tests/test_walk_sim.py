@@ -11,11 +11,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare, poisson
 
 from coinwalk import walk_sim
 from coinwalk.generators import gen_complete, gen_gnp
 from coinwalk.graph_core import build_graph
-from coinwalk.rng import derive_seeds, mix64_into
+from coinwalk.rng import Stream, derive_seeds, mix64_into
 from coinwalk.walk_sim import (
     CoincidenceResult,
     SimConfig,
@@ -90,6 +91,95 @@ def test_k2_determinism_and_flip_parity():
 
 
 # ---------------------------------------------------------------------------
+# the jump chain: event counts, draw order and tau
+
+
+@pytest.mark.parametrize("t_horizon", [0.0, 0.25, 100.0, 1e5])
+def test_event_count_table_is_the_poisson_cdf(t_horizon):
+    lo, cdf = walk_sim._event_count_cdf(t_horizon)
+    k = lo + np.arange(cdf.size)
+    assert np.max(np.abs(cdf - poisson.cdf(k, 2 * t_horizon))) < 1e-12
+    # the mass outside the table is within the table's own rounding
+    assert poisson.cdf(lo - 1, 2 * t_horizon) < 1e-16
+    assert poisson.sf(k[-1], 2 * t_horizon) < 1e-13
+    assert cdf[-1] == 1.0 and not cdf.flags.writeable
+
+
+def test_event_count_table_at_a_large_horizon():
+    # scipy 1.17's Poisson cdf is off by up to 1.6e-9 on about 1600 entries
+    # of this window (k near 2006374 to 2007953), so the oracle is the
+    # regularized incomplete gamma Q(k + 1, 2t) in 30-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    lam = 2e6
+    lo, cdf = walk_sim._event_count_cdf(lam / 2)
+    with mpmath.workdps(30):
+        for i in np.linspace(0, cdf.size - 1, 25).astype(int):
+            exact = mpmath.gammainc(lo + int(i) + 1, lam, mpmath.inf, regularized=True)
+            assert abs(float(exact) - cdf[i]) < 1e-12
+    assert poisson.cdf(lo - 1, lam) < 1e-16 and cdf[-1] == 1.0
+
+
+def test_event_count_table_grows_like_the_square_root_of_the_rate():
+    sizes = [walk_sim._event_count_cdf(t)[1].size for t in (1e2, 1e4, 1e6)]
+    # each hundredfold rate makes the table about ten times longer
+    for short, long in zip(sizes, sizes[1:]):
+        assert 7 < long / short < 13, sizes
+    assert sizes[-1] < 30 * math.sqrt(2e6)
+
+
+def test_event_counts_are_poisson_of_twice_the_horizon():
+    # jumps_x + jumps_y is the event count N, drawn from its table: on K_5,
+    # 1e5 replicates at t = 5 against Poisson(10), bins of expected count
+    # 20 or more with the tails pooled
+    t_horizon, reps = 5.0, 10**5
+    batch = simulate_batch(gen_complete(5), SimConfig(t_horizon=t_horizon, replicates=reps,
+                                                      master_seed=20261021))
+    events = batch.jumps_x + batch.jumps_y
+    support = np.flatnonzero(poisson.pmf(np.arange(60), 2 * t_horizon) * reps >= 20)
+    lo, hi = int(support[0]), int(support[-1])
+    counts = np.bincount(np.clip(events, lo, hi) - lo, minlength=hi - lo + 1)
+    probs = poisson.pmf(np.arange(lo, hi + 1), 2 * t_horizon)
+    probs[0] = poisson.cdf(lo, 2 * t_horizon)
+    probs[-1] = poisson.sf(hi - 1, 2 * t_horizon)
+    assert chisquare(counts, probs * reps).pvalue > 1e-3
+
+
+def test_pair_follows_the_documented_draw_order():
+    # replay one stream per seed: X's start, Y's start, the event count, one
+    # word per event (bit 0 the coin, the top 53 bits the destination), then
+    # N + 1 Exp(1) variables when the walkers met on some but not all of
+    # the N + 1 intervals
+    g, t_horizon = star3(), 2.0
+    cum = np.cumsum(g.degrees)
+    partial = 0
+    for seed in range(200):
+        stream = Stream(seed)
+        pos = [int(np.searchsorted(cum, stream.uniform() * cum[-1], side="right"))
+               for _ in range(2)]
+        lo, cdf = walk_sim._event_count_cdf(t_horizon)
+        events = lo + int(np.searchsorted(cdf, stream.uniform(), side="right"))
+        jumps = [0, 0]
+        together = int(pos[0] == pos[1])
+        for _ in range(events):
+            word = stream.next_u64()
+            mover, v = word & 1, pos[word & 1]
+            k = int((word >> 11) * 2.0**-53 * int(g.degrees[v]))
+            pos[mover] = int(g.neighbors[g.offsets[v] + k])
+            jumps[mover] += 1
+            together += pos[0] == pos[1]
+        if 0 < together <= events:
+            partial += 1
+            exps = -np.log1p(-stream.uniforms(events + 1))
+            tau = t_horizon * math.fsum(exps[:together]) / math.fsum(exps)
+        else:
+            tau = t_horizon * (together > 0)
+        res = simulate_pair(g, t_horizon, 0.0, seed=seed)
+        assert (res.jumps_x, res.jumps_y, res.final_x, res.final_y) == (*jumps, *pos)
+        assert res.tau == pytest.approx(tau, rel=1e-13, abs=0.0)
+    assert partial >= 20
+
+
+# ---------------------------------------------------------------------------
 # batch engine: bit equality with the scalar engine
 
 
@@ -139,11 +229,10 @@ def test_batch_chunk_size_is_invisible(monkeypatch):
     assert np.array_equal(a.final_y, b.final_y)
 
 
-def test_batch_compacts_finished_lanes_lazily(monkeypatch):
-    # Every step mixes one word per lane, so the mixed arrays' sizes are the
-    # chunk's widths step by step.  Finished lanes must be dropped, but only
-    # a quarter or more of the lanes at a time: compacting on every crossing
-    # costs more than stepping the finished lanes does.
+def test_batch_steps_exactly_the_lanes_with_events_left(monkeypatch):
+    # Every step mixes one word per live lane, so the mixed arrays' sizes are
+    # the chunk's widths step by step.  The lanes are sorted by event count,
+    # so step s runs exactly the replicates with more than s events.
     widths = []
 
     def recording_mix(z, out, tmp):
@@ -151,22 +240,12 @@ def test_batch_compacts_finished_lanes_lazily(monkeypatch):
         return mix64_into(z, out, tmp)
 
     monkeypatch.setattr(walk_sim, "mix64_into", recording_mix)
-    simulate_batch(gen_complete(5), SimConfig(t_horizon=20.0, replicates=400, master_seed=9))
-    sizes = sorted(set(widths), reverse=True)
-    assert sizes[0] == 400 and len(sizes) >= 3
+    batch = simulate_batch(gen_complete(5), SimConfig(t_horizon=20.0, replicates=400,
+                                                      master_seed=9))
+    events = batch.jumps_x + batch.jumps_y
+    assert widths == [int((events > s).sum()) for s in range(events.max())]
+    assert widths[0] == 400
     assert np.all(np.diff(widths) <= 0)
-    for wide, narrow in zip(sizes, sizes[1:]):
-        assert wide - narrow >= wide / 4
-
-
-def test_batch_prefix_property():
-    # running the same master seed at a shorter horizon observes the same
-    # trajectories earlier: tau can only grow with the horizon
-    g = path3()
-    short = simulate_batch(g, SimConfig(t_horizon=5.0, replicates=200, master_seed=31))
-    long = simulate_batch(g, SimConfig(t_horizon=10.0, replicates=200, master_seed=31))
-    assert np.all(short.taus <= long.taus + 1e-12)
-    assert np.all(long.taus <= short.taus + 5.0 + 1e-12)
 
 
 def test_infection_prob_matches_tau_transform():

@@ -41,10 +41,11 @@ the memory of a one-graph draw: a block is walked by groups of lanes
 whose count times the block's first (widest) chunk is at most the plan's
 widest chunk (or the lane count, if larger), and replicates whose seeds
 are known up front (``sampler_for`` with ``seeds``) are drawn
-``max(1, _CHUNK // n)`` at a time.  Those replicates are reduced chunk by
-chunk straight into degree rows, so no edge list is held; a replicate's
-graph keeps its offsets and its seed, and walks that one lane again to
-build its adjacency if ``neighbors`` is read.
+``max(1, _CHUNK // n)`` at a time and served in that order, each once.
+Those replicates are reduced chunk by chunk straight into degree rows, so
+no edge list is held; a replicate's graph keeps its offsets and its seed,
+and walks that one lane again to build its adjacency if ``neighbors`` is
+read.
 
 Workspace: each thread owns one set of chunk buffers (``_Workspace``),
 grown to the widest chunk it has walked and reused by every later walk on
@@ -564,43 +565,39 @@ def _rebuilt_neighbors(n: int, walk, state: int) -> np.ndarray:
     return _sorted_neighbors(n, *_pair_edges(walk, state))
 
 
-class _LockstepDraws:
+def _lockstep_draws(n: int, walk, seeds):
     """seed -> Graph for a known run of seeds, drawn in lockstep straight to degrees.
 
-    The seeds are drawn in replicate chunks of ``max(1, _CHUNK // n)``
-    lanes, which bounds the degree rows to about _CHUNK entries; a chunk is
-    drawn when its first seed is asked for, and replaces the one before.
+    The seeds are served in the order given, each once; any other seed
+    raises ValueError.  They are drawn in replicate chunks of
+    ``max(1, _CHUNK // n)`` lanes, which bounds the degree rows to about
+    _CHUNK entries; a chunk is drawn when its first seed is asked for.
     Replicate s is attempt 0 of the one-graph draw, the lane of stream
     ``derive_seed(s, 0)``; its graph holds only offsets and a self-loop
     count, and rebuilds its adjacency from that lane if something reads
-    ``neighbors``.  Any other seed, or one asked for out of order, is drawn
-    alone by ``single``.
+    ``neighbors``.
     """
+    step = max(1, _CHUNK // n)
+    served = (pair for start in range(0, len(seeds), step)
+              for pair in _lockstep_chunk(n, walk, seeds[start:start + step]))
 
-    def __init__(self, n: int, walk, seeds, single):
-        self._n, self._walk, self._seeds, self._single = n, walk, seeds, single
-        self._next = 0
-        self._rows: dict[int, int] = {}
+    def draw(seed: int) -> Graph:
+        want, g = next(served, (None, None))
+        if seed != want:
+            raise ValueError(f"seed {seed} is not the next seed of this lockstep run")
+        return g
 
-    def __call__(self, seed: int) -> Graph:
-        row = self._rows.get(seed)
-        if row is None and self._next < len(self._seeds) and seed == int(self._seeds[self._next]):
-            self._draw_chunk()
-            row = self._rows[seed]
-        if row is None:
-            return self._single(seed)
-        return Graph(self._n, _freeze(self._offsets[row]),
-                     partial(_rebuilt_neighbors, self._n, self._walk, int(self._origins[row])),
-                     int(self._loops[row]))
+    return draw
 
-    def _draw_chunk(self) -> None:
-        start = self._next
-        chunk = [int(s) for s in self._seeds[start:start + max(1, _CHUNK // self._n)]]
-        self._next = start + len(chunk)
-        self._origins = derive_seeds(np.array([s & MASK64 for s in chunk], dtype=np.uint64), 0)
-        self._rows = {s: i for i, s in enumerate(chunk)}
-        self._offsets = self._loops = None  # let the last chunk go first
-        self._offsets, self._loops = _lane_offsets(self._n, self._walk, self._origins.copy())
+
+def _lockstep_chunk(n: int, walk, seeds):
+    """(seed, Graph) for each of ``seeds``, walked together; a generator of its
+    own, so that the chunk's rows go once it is served, before the next is drawn."""
+    seeds = [int(s) for s in seeds]
+    origins = derive_seeds(np.array([s & MASK64 for s in seeds], dtype=np.uint64), 0)
+    offsets, loops = _lane_offsets(n, walk, origins.copy())
+    for s, row, origin, loop in zip(seeds, offsets, origins.tolist(), loops.tolist()):
+        yield s, Graph(n, _freeze(row), partial(_rebuilt_neighbors, n, walk, origin), loop)
 
 
 def _caller_stacklevel() -> int:
@@ -722,9 +719,10 @@ def sampler_for(spec: GenSpec, seeds=None, weights: WeightSequence | None = None
 
     ``seeds``, the replicate seeds the caller will ask for in that order,
     lets a gnp or expected_degree spec without ``require_connected`` draw
-    them in lockstep, straight to degrees (see ``_LockstepDraws``): each
+    them in lockstep, straight to degrees (see ``_lockstep_draws``): each
     graph is the one its seed draws alone, its adjacency rebuilt from the
-    seed when read.  Other families draw each seed as they would without.
+    seed when read, and the seeds are served in that order, each once.
+    Other families draw each seed as they would without.
 
     ``weights``, an expected_degree spec's ``weights_for(spec)`` that the
     caller has already built, is used instead of building it again.
@@ -744,11 +742,10 @@ def sampler_for(spec: GenSpec, seeds=None, weights: WeightSequence | None = None
         if weights is None:
             weights = weights_for(spec)
         walk = _expected_degree_walk(weights, spec.allow_self_loops, spec.strict)
-    single = partial(_draw, partial(_pairs_graph, spec.n, walk), CONNECT_ATTEMPTS,
-                     spec.require_connected)
     if seeds is None or spec.require_connected:
-        return single
-    return _LockstepDraws(spec.n, walk, seeds, single)
+        return partial(_draw, partial(_pairs_graph, spec.n, walk), CONNECT_ATTEMPTS,
+                       spec.require_connected)
+    return _lockstep_draws(spec.n, walk, seeds)
 
 
 def generate(spec: GenSpec) -> Graph:

@@ -238,16 +238,19 @@ def validate_graph(g: Graph) -> None:
 def degree_statistics(g: Graph) -> DegreeStatistics:
     """Exact degree aggregates D, D2 and the sum of squared degrees.
 
-    Sums are taken in 64-bit integers, which is exact because the sum of
-    squared degrees is at most D * max_degree.  A graph for which that bound
-    reaches 2^63 (more than 9e11 half-edges) raises OverflowError.
+    The sum of squared degrees is a Python int, exact at any size: it adds
+    int64 dot products over runs of at most (2^63 - 1) // max_degree^2
+    degrees, none of which can overflow, and on a graph of ordinary size
+    the one run is the whole sequence.  Only a squared degree of 2^63 or
+    more raises OverflowError; no generator makes one.
     """
     degs = g.degrees
+    square = int(degs.max()) ** 2 if g.n else 0
+    if square >= 2**63:
+        raise OverflowError("a squared degree exceeds 64-bit integers")
+    run = (2**63 - 1) // max(square, 1)
+    sum_sq = sum(int(np.dot(degs[a:a + run], degs[a:a + run])) for a in range(0, g.n, run))
     total = g.total_degree
-    max_deg = int(degs.max()) if g.n else 0
-    if total * max_deg >= 2**63:
-        raise OverflowError("sum of squared degrees may exceed 64-bit integers")
-    sum_sq = int(np.dot(degs, degs))
     return DegreeStatistics(D=total, D2=sum_sq - total, sum_deg_sq=sum_sq)
 
 

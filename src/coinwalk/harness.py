@@ -12,6 +12,9 @@ A spec file describes one experiment of a given kind:
   over (n, gamma, d, m) ``seeds_per_point`` times, recording the mean
   meeting-rate ratio n * sum(pi_v^2) against its predicted scaling regime.
 
+Every spec block is checked from one table, ``_BLOCKS``, but for the keys
+of the graph block, which depend on its family.
+
 ``ensemble`` and ``sweep`` read only each replicate's degrees, so they hand
 their replicate seeds to ``sampler_for``: the pair models then draw the
 replicates in lockstep, straight to degree rows, and hold no edge list.
@@ -34,6 +37,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import product
 from typing import Any
 
@@ -212,25 +216,21 @@ def _check_count(value: Any, name: str, low: int = 1, high: int = MAX_VERTICES) 
     return out
 
 
-def _check_probability(value: Any, name: str) -> float:
-    out = _as_number(value, name)
-    if not 0.0 <= out <= 1.0:
-        raise SpecError(f"{name} must lie in [0, 1], got {out}")
-    return out
+def _range_check(holds, rule: str):
+    """A converter to a finite number for which ``holds``; it refuses any
+    other with "{name} {rule}, got {x}"."""
+    def check(value: Any, name: str) -> float:
+        out = _as_number(value, name)
+        if not holds(out):
+            raise SpecError(f"{name} {rule}, got {out}")
+        return out
+    return check
 
 
-def _check_gamma(value: Any, name: str) -> float:
-    out = _as_number(value, name)
-    if out <= 2:
-        raise SpecError(f"{name} must exceed 2, got {out}")
-    return out
-
-
-def _check_positive(value: Any, name: str) -> float:
-    out = _as_number(value, name)
-    if out <= 0:
-        raise SpecError(f"{name} must be positive, got {out}")
-    return out
+_check_probability = _range_check(lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")
+_check_gamma = _range_check(lambda x: x > 2, "must exceed 2")
+_check_positive = _range_check(lambda x: x > 0, "must be positive")
+_check_non_negative = _range_check(lambda x: x >= 0, "must be non-negative")
 
 
 def _check_m(value: Any, name: str) -> float | str:
@@ -281,11 +281,9 @@ def _parse_keys(block: dict, keys: tuple[str, ...], name: str) -> dict[str, Any]
     return out
 
 
-def _parse_graph(block: Any) -> dict[str, Any]:
-    if not isinstance(block, dict):
-        raise SpecError("'graph' must be an object")
+def _parse_graph(block: dict) -> dict[str, Any]:
     family = _need(block, "family", "'graph'")
-    if family not in _FAMILY_KEYS:
+    if not isinstance(family, str) or family not in _FAMILY_KEYS:
         raise SpecError(f"unknown graph family {family!r}")
     keys = _FAMILY_KEYS[family]
     _reject_unknown(block, {"family", *keys}, f"'graph' ({family})")
@@ -298,52 +296,47 @@ def _parse_graph(block: Any) -> dict[str, Any]:
             raise SpecError("expected_degree graph needs 'w' or 'gamma'/'d'/'m'")
         unused = ("gamma", "d", "m") if has_w else ("w",)
         keys = tuple(key for key in keys if key not in unused)
-    return {"graph": {"family": family, **_parse_keys(block, keys, "graph")}}
+    return {"family": family, **_parse_keys(block, keys, "graph")}
 
 
-def _parse_sweep(block: Any) -> dict[str, Any]:
-    """A sweep is a power-law expected_degree grid drawn seeds_per_point times."""
-    if not isinstance(block, dict):
-        raise SpecError("'sweep' must be an object")
-    keys = ("n", "gamma", "d", "m", "allow_self_loops", "strict")
-    _reject_unknown(block, {*keys, "seeds_per_point"}, "'sweep'")
-    graph = {"family": "expected_degree", **_parse_keys(block, keys, "sweep")}
-    seeds = _check_count(block.get("seeds_per_point", 1), "sweep.seeds_per_point",
-                         high=MAX_REPLICATES)
-    return {"graph": graph, "seeds_per_point": seeds}
+_check_replicates = partial(_check_count, low=2, high=MAX_REPLICATES)
 
-
-def _parse_sim(block: Any) -> dict[str, Any]:
-    if not isinstance(block, dict):
-        raise SpecError("'sim' must be an object")
-    _reject_unknown(block, {"t_horizon", "beta", "replicates"}, "'sim'")
-    t_horizon = _as_number(_need(block, "t_horizon", "'sim'"), "sim.t_horizon")
-    if t_horizon < 0:
-        raise SpecError(f"sim.t_horizon must be non-negative, got {t_horizon}")
-    beta = _as_number(block.get("beta", 0.0), "sim.beta")
-    if beta < 0:
-        raise SpecError(f"sim.beta must be non-negative, got {beta}")
-    replicates = _check_count(_need(block, "replicates", "'sim'"), "sim.replicates",
-                              low=2, high=MAX_REPLICATES)
-    return {"sim": {"t_horizon": t_horizon, "beta": beta, "replicates": replicates}}
-
-
-def _parse_ensemble(block: Any) -> dict[str, Any]:
-    if not isinstance(block, dict):
-        raise SpecError("'ensemble' must be an object")
-    _reject_unknown(block, {"replicates"}, "'ensemble'")
-    replicates = _check_count(_need(block, "replicates", "'ensemble'"), "ensemble.replicates",
-                              low=2, high=MAX_REPLICATES)
-    return {"ensemble_replicates": replicates}
-
-
-#: Spec blocks in checking order, each parsed into ExperimentSpec fields.
+#: Spec blocks in checking order.  Each checks its grid keys first (a
+#: sweep's fill ``graph``), then its scalar keys: key -> (converter,
+#: default, ExperimentSpec field).  A default of None marks a required key;
+#: a field named after its block holds the block's scalars as a dict.  The
+#: graph block's keys depend on its family, so ``_parse_graph`` reads them.
 _BLOCKS = {
-    "graph": _parse_graph,
-    "sweep": _parse_sweep,
-    "sim": _parse_sim,
-    "ensemble": _parse_ensemble,
+    "graph": None,
+    "sweep": (("n", "gamma", "d", "m", "allow_self_loops", "strict"),
+              {"seeds_per_point": (partial(_check_count, high=MAX_REPLICATES), 1,
+                                   "seeds_per_point")}),
+    "sim": ((), {"t_horizon": (_check_non_negative, None, "sim"),
+                 "beta": (_check_non_negative, 0.0, "sim"),
+                 "replicates": (_check_replicates, None, "sim")}),
+    "ensemble": ((), {"replicates": (_check_replicates, None, "ensemble_replicates")}),
 }
+
+
+def _parse_block(name: str, block: Any) -> dict[str, Any]:
+    """The ExperimentSpec fields one spec block fills, checked as ``_BLOCKS`` says."""
+    if not isinstance(block, dict):
+        raise SpecError(f"'{name}' must be an object")
+    if name == "graph":
+        return {"graph": _parse_graph(block)}
+    grid, scalars = _BLOCKS[name]
+    _reject_unknown(block, {*grid, *scalars}, f"'{name}'")
+    graph = _parse_keys(block, grid, name)
+    out = {"graph": {"family": "expected_degree", **graph}} if grid else {}
+    for key, (convert, default, field) in scalars.items():
+        value = _need(block, key, f"'{name}'") if default is None else block.get(key, default)
+        value = convert(value, f"{name}.{key}")
+        if field == name:
+            out.setdefault(name, {})[key] = value
+        else:
+            out[field] = value
+    return out
+
 
 #: The blocks each kind requires; every other block is rejected.
 _KIND_BLOCKS = {
@@ -371,7 +364,7 @@ def parse_spec(text: str) -> ExperimentSpec:
     if not isinstance(doc, dict):
         raise SpecError("spec must be a JSON object")
     kind = _need(doc, "kind", "spec")
-    if kind not in _KIND_BLOCKS:
+    if not isinstance(kind, str) or kind not in _KIND_BLOCKS:
         raise SpecError(f"unknown kind {kind!r}; expected one of {', '.join(_KIND_BLOCKS)}")
     _reject_unknown(doc, {"kind", "seed", "description", *_BLOCKS}, "spec")
     seed = check_seed(_as_int(_need(doc, "seed", "spec"), "seed"))
@@ -379,9 +372,9 @@ def parse_spec(text: str) -> ExperimentSpec:
     if description is not None and not isinstance(description, str):
         raise SpecError("description must be a string")
     parsed: dict[str, Any] = {}
-    for name, parse in _BLOCKS.items():
+    for name in _BLOCKS:
         if name in _KIND_BLOCKS[kind]:
-            parsed.update(parse(_need(doc, name, "spec")))
+            parsed.update(_parse_block(name, _need(doc, name, "spec")))
         elif name in doc:
             raise SpecError(f"key {name!r} is not valid for kind {kind!r}")
     return ExperimentSpec(kind=kind, seed=seed, description=description, **parsed)

@@ -4,8 +4,9 @@ The whole package draws its randomness from splitmix64, a counter-style
 64-bit generator: the state advances by a fixed odd increment (the golden
 gamma) and every output is a bijective avalanche mix of the new state.
 Because the k-th output of a stream is a closed-form function of
-``seed + (k+1) * gamma``, blocks of outputs can be produced with vectorized
-uint64 arithmetic, and the scalar and vectorized paths agree bit for bit.
+``seed + (k+1) * gamma``, every block of uniforms is drawn with vectorized
+uint64 arithmetic by :func:`lane_uniforms`, for one lane (``Stream.uniforms``)
+or many, and the scalar and vectorized paths agree bit for bit.
 
 Child streams are derived with :func:`derive_seed`, which mixes
 ``(seed, index)`` into a fresh 64-bit seed; :func:`derive_seeds` does the
@@ -49,11 +50,11 @@ def mix64(z: int) -> int:
 
 
 def mix64_into(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Finalize uint64 states ``z`` into ``out``, with ``tmp`` as scratch.
+    """Finalize uint64 states ``z`` into ``out`` (vectorized path), with ``tmp`` as scratch.
 
-    The in-place form of :func:`mix64_vec`: all three arrays have z's shape
-    and dtype uint64, ``out`` may be ``z`` itself, and ``tmp`` is distinct
-    from both.  It allocates nothing and returns ``out``.
+    All three arrays have z's shape and dtype uint64, ``out`` may be ``z``
+    itself, and ``tmp`` is distinct from both.  It allocates nothing and
+    returns ``out``.
     """
     np.right_shift(z, _S30, out=tmp)
     np.bitwise_xor(z, tmp, out=out)
@@ -64,12 +65,6 @@ def mix64_into(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     np.right_shift(out, _S31, out=tmp)
     out ^= tmp
     return out
-
-
-def mix64_vec(z: np.ndarray) -> np.ndarray:
-    """Finalize an array of uint64 states (vectorized path)."""
-    out = np.empty_like(z)
-    return mix64_into(z, out, np.empty_like(out))
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -102,12 +97,10 @@ def derive_seeds(seeds: int | np.ndarray, indices: int | list[int] | np.ndarray)
         seeds = int(seeds) & MASK64
     steps = (idx.astype(np.uint64) + np.uint64(1)) * GAMMA_U64
     z = np.asarray(seeds, dtype=np.uint64) + steps
-    return mix64_vec(mix64_vec(z) ^ np.uint64(_DERIVE_SALT))
-
-
-def uniform_from_u64(words: np.ndarray) -> np.ndarray:
-    """Map uint64 words to floats in [0, 1) using their top 53 bits."""
-    return (words >> _S11).astype(np.float64) * U53_INV
+    tmp = np.empty_like(z)
+    mix64_into(z, z, tmp)
+    z ^= np.uint64(_DERIVE_SALT)
+    return mix64_into(z, z, tmp)
 
 
 def gamma_ramp(size: int) -> np.ndarray:
@@ -129,7 +122,8 @@ def lane_uniforms(states: np.ndarray, counts: np.ndarray, ramp: np.ndarray,
 
     The caller owns the buffers and may reuse them from draw to draw:
     ``ramp`` is ``gamma_ramp(cap)``, and ``out`` (float64) and ``words``
-    (uint64) are scratch, all at least ``sum(counts)`` long.  Word t of the
+    (uint64) are scratch, all at least ``sum(counts)`` long.  ``words`` may
+    be ``ramp`` itself when the ramp is not needed again.  Word t of the
     block, in the span [s, e) of lane i, is ``ramp[t] + (states[i] - s * gamma)``:
     the ramp plus the lane's origin, which is its state when there is one
     lane and is repeated over its span when there are several (the one
@@ -182,12 +176,8 @@ class Stream:
         """Block of ``size`` floats in [0, 1); advances the state by ``size``."""
         if size < 0:
             raise ValueError("size must be non-negative")
-        # Mixed in place: a block of 3e7 keys (n*r at MAX_VERTICES) is 240 MB.
-        words = np.arange(1, size + 1, dtype=np.uint64)
-        words *= GAMMA_U64
-        words += np.uint64(self.state)
-        mix64_into(words, words, np.empty_like(words))
-        self.state = (self.state + size * GOLDEN_GAMMA) & MASK64
-        return uniform_from_u64(words)
-
-
+        # One lane whose ramp is also its word buffer: 3e7 keys (n*r at MAX_VERTICES) take 480 MB.
+        words, state = gamma_ramp(size), np.array([self.state], dtype=np.uint64)
+        block = lane_uniforms(state, np.array([size]), words, np.empty(size), words)
+        self.state = int(state[0])
+        return block

@@ -40,8 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graph_core import Graph, theorem1_bounds
-from .rng import (GAMMA_U64, U53_INV, Stream, derive_seeds, gamma_ramp, lane_uniforms,
-                  mix64_into, mix64_vec, uniform_from_u64)
+from .rng import GAMMA_U64, U53_INV, Stream, derive_seeds, gamma_ramp, lane_uniforms, mix64_into
 
 #: Replicates that ``simulate_batch`` advances in lockstep at a time.  It
 #: bounds the engine's working memory; results do not depend on it.
@@ -263,13 +262,11 @@ def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
     lo, cdf = _event_count_cdf(t_horizon)
     width = rep_seeds.size
     state = rep_seeds.copy()
-    pos = np.empty((width, 2), dtype=nbrs.dtype)
-    for walker in (0, 1):
-        state += GAMMA_U64
-        pos[:, walker] = np.searchsorted(cum, uniform_from_u64(mix64_vec(state)) * total,
-                                         side="right")
-    state += GAMMA_U64
-    events = np.searchsorted(cdf, uniform_from_u64(mix64_vec(state)), side="right")
+    ramp = gamma_ramp(3 * width)  # also the word buffer: the ramp is not needed again
+    starts = lane_uniforms(state, np.full(width, 3), ramp, np.empty(3 * width), ramp)
+    starts = starts.reshape(width, 3)
+    pos = np.searchsorted(cum, starts[:, :2] * total, side="right").astype(nbrs.dtype)
+    events = np.searchsorted(cdf, starts[:, 2], side="right")
     events += lo
     order = np.argsort(-events, kind="stable")
     events, state = events.take(order), state.take(order)

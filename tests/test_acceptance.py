@@ -3,10 +3,12 @@
 Each test prints exactly one PASS line (with the measured numbers) when its
 criterion holds; a failure shows up as an ordinary pytest failure.  Seeds
 are frozen so every run checks the same realizations; tolerances are stated
-inline.  Twelve criteria:
+inline.  Thirteen criteria:
 
  1. exact stationary identities on regular families;
  2. mean coincidence time matches t * sum(pi^2) on four small graphs;
+ 2b. on a circulant at n = 1e5 it matches t/n within 4 standard errors
+    of the exact Var(tau(t));
  3. the concavity upper bound on mean infection probability holds;
  4. the sample variance of tau matches the exact spectral Var(tau(t));
  4b. the mean infection probability matches its exact Feynman-Kac value;
@@ -178,6 +180,59 @@ def exact_tau_variance(g, t_horizon):
     integral = np.where(small, t_horizon**2 / 2 - a * t_horizon**3 / 6,
                         (at + np.expm1(-at)) / a_safe**2)
     return 2.0 * float(np.sum(m**2 * integral)) - (t_horizon * float(pi @ pi))**2
+
+
+def circulant_tau_variance(n, k, t_horizon):
+    """Var(tau(t)) on the circulant C_n(1..k), exact at any n.
+
+    The walk is regular, so pi is uniform and Cov(r) = (1/n^2) sum_{j != 0}
+    exp(-a_j r) with a_j = 2 (1 - lam_j), where lam_j = (1/k) sum_{s=1..k}
+    cos(2 pi j s / n) are the eigenvalues of the circulant's transition
+    matrix.  Integrating as in ``exact_tau_variance``, Var(tau(t)) =
+    (2/n^2) sum_{j != 0} (a_j t + exp(-a_j t) - 1) / a_j^2 = (2 t^2 / n^2)
+    sum_j f(a_j t) with f(x) = (x - 1 + exp(-x)) / x^2.  a_j is summed as
+    (4/k) sum_s sin^2(pi j s / n), which keeps its relative precision when
+    it is tiny, and f takes its Taylor series sum_m (-x)^m / (m + 2)! below
+    x = 1/2, where the closed form would cancel.
+    """
+    j = np.arange(1, n, dtype=np.int64)
+    a = sum(np.sin(np.pi * (j * s % n) / n) ** 2 for s in range(1, k + 1)) * (4.0 / k)
+    x = a * t_horizon
+    small = x < 0.5
+    f = np.empty_like(x)
+    xs = x[small]
+    series = np.zeros_like(xs)
+    for m in range(16, -1, -1):  # Horner, from the 17th term down
+        series = series * -xs + 1.0 / math.factorial(m + 2)
+    f[small] = series
+    xl = x[~small]
+    f[~small] = (xl + np.expm1(-xl)) / xl**2
+    return 2.0 * t_horizon**2 / n**2 * float(f.sum())
+
+
+def test_mean_coincidence_time_on_a_large_circulant_is_t_over_n():
+    """At n = 1e5 the mean of tau is t/n within 4 exact standard errors.
+
+    This is the paper's regime, a large homogeneous graph, where the dense
+    oracles above cannot run.  The SE is sqrt(Var(tau) / R) from the exact
+    circulant variance, not from the sample, so it does not shrink with a
+    run of few or short coincidences.  The closed form is first pinned to
+    the dense spectral value on small circulants.
+    """
+    for n, k, t_horizon in ((9, 2, 3.0), (12, 1, 40.0), (30, 3, 2.5), (50, 2, 10.0)):
+        exact = exact_tau_variance(gen_circulant(n, k), t_horizon)
+        assert circulant_tau_variance(n, k, t_horizon) == pytest.approx(exact, rel=1e-12)
+    n, k, t_horizon, reps = 10**5, 30, 100.0, 300_000
+    start = time.perf_counter()
+    taus = simulate_batch(gen_circulant(n, k), SimConfig(
+        t_horizon=t_horizon, replicates=reps, master_seed=2008)).taus
+    se = math.sqrt(circulant_tau_variance(n, k, t_horizon) / reps)
+    z = (float(taus.mean()) - t_horizon / n) / se
+    coinciding = int(np.count_nonzero(taus))
+    assert abs(z) <= 4.0, (float(taus.mean()), se, coinciding)
+    report("large circulant mean",
+           f"C_1e5(30), t=100: z={z:+.2f} with exact SE, {coinciding} of {reps} "
+           f"replicates coincided ({time.perf_counter() - start:.1f}s)")
 
 
 def test_variance_of_tau_matches_exact_spectral_value():

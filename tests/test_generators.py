@@ -426,15 +426,10 @@ def test_lockstep_draws_equal_one_at_a_time_draws(name, replicates, monkeypatch)
         assert (g.self_loop_count, g.edge_count) == (want.self_loop_count, want.edge_count)
         assert np.array_equal(g.neighbors, want.neighbors)
         validate_graph(g)
-    assert draw(seeds[0]) == alone(seeds[0])  # asked for again, out of order
-    # a seed outside the run falls back to the one-lane walk and its edge list
-    handed = []
-    real = generators._csr_from_half_edges
-    monkeypatch.setattr(generators, "_csr_from_half_edges",
-                        lambda *args: handed.append(args) or real(*args))
-    outside = derive_seed(31, replicates)
-    g = draw(outside)
-    assert len(handed) == 1 and g == alone(outside)
+    with pytest.raises(ValueError, match="not the next seed"):
+        draw(seeds[0])  # each seed is served once
+    with pytest.raises(ValueError, match="not the next seed"):
+        sampler_for(spec, seeds)(derive_seed(31, replicates))  # and only in order
 
 
 def test_lockstep_sweep_draw_holds_no_edge_list():

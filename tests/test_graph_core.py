@@ -131,11 +131,15 @@ def test_degree_statistics_exact_in_int64_on_huge_star():
     assert st.D == 2 * hub_deg
     assert st.sum_deg_sq == hub_deg**2 + hub_deg
     assert st.D2 == st.sum_deg_sq - st.D
-    # degrees come from offsets alone; the squares sum to 2^63, which int64 wraps
+    # degrees come from offsets alone; the squares sum to exactly 2^63, past int64
     huge = Graph(2, np.array([0, 2**31, 2**32], dtype=np.int64),
                  lambda: np.zeros(0, dtype=np.int32), 0)
+    assert degree_statistics(huge).sum_deg_sq == 2**63
+    # one degree above 2^31.5: its square alone exceeds int64
+    huger = Graph(1, np.array([0, 3_037_000_500], dtype=np.int64),
+                  lambda: np.zeros(0, dtype=np.int32), 0)
     with pytest.raises(OverflowError):
-        degree_statistics(huge)
+        degree_statistics(huger)
 
 
 def test_theorem1_bounds_star3():

@@ -133,6 +133,19 @@ def test_cli_refuses_vertex_counts_beyond_the_bound(tmp_path, capsys):
         assert f"{key} must be at most {MAX_VERTICES}" in capsys.readouterr().err
 
 
+def test_cli_analyzes_large_complete_graphs_exactly(tmp_path, capsys):
+    # D * max_degree passes 2**63 here; an int64 bound on it once ended
+    # `analyze` in an OverflowError traceback
+    n = 3_000_000
+    path = tmp_path / "kn.json"
+    path.write_text(json.dumps({"kind": "analyze", "seed": 1,
+                                "graph": {"family": "complete", "n": n}}), encoding="utf-8")
+    assert main(["analyze", "--spec", str(path), "--format", "json"]) == EXIT_OK
+    (row,) = json.loads(capsys.readouterr().out)
+    assert (row["D"], row["D2"]) == (n * (n - 1), n * (n - 1) * (n - 2))
+    assert row["n_sum_pi_sq"] == 1.0 and row["error"] is None
+
+
 #: (spec document with "@" where the count goes, key, bound of the count)
 COUNTED_KEYS = [
     ({"kind": "simulate", "graph": {"family": "complete", "n": 4},
@@ -612,6 +625,13 @@ REJECTIONS = [
                                    sim={"t_horizon": 1.0, "beta": -0.5, "replicates": 10})),
      "sim.beta must be non-negative"),
     (partial(parse_spec, spec_text(description=5)), "description must be a string"),
+    # unhashable kinds and families once ended the CLI in a TypeError, exit 1
+    (partial(parse_spec, spec_text(kind=["analyze"])), "unknown kind ['analyze']"),
+    (partial(parse_spec, spec_text(kind={"analyze": 1})), "unknown kind {'analyze': 1}"),
+    ({"kind": "analyze", "seed": 1, "graph": {"family": ["gnp"], "n": 3, "p": 0.5}},
+     "unknown graph family ['gnp']"),
+    (partial(parse_spec, spec_text(graph={"family": {"gnp": 1}, "n": 3})),
+     "unknown graph family {'gnp': 1}"),
     (partial(build_graph, 3, [(0, 1, 2)]), "edges must be pairs"),
     (partial(Stream(1).uniforms, -1), "size must be non-negative"),
     (partial(SimConfig, t_horizon=1.0, master_seed=-1), "master_seed must be non-negative"),
@@ -629,6 +649,98 @@ def test_invalid_input_is_refused(given, message, tmp_path, capsys):
     else:
         with pytest.raises(ValueError, match=re.escape(message)):
             given()
+
+
+# ---------------------------------------------------------------------------
+# golden spec errors
+
+#: Valid specs, every kind and graph family among them, that the corpus breaks.
+VALID_SPECS = [
+    {"kind": "analyze", "seed": 7, "graph": {"family": "complete", "n": [2, 5]}},
+    {"kind": "analyze", "seed": 7, "graph": {"family": "circulant", "n": 9, "k": [1, 2]}},
+    {"kind": "analyze", "seed": 7, "graph": {"family": "random_regular", "n": 8, "r": 3}},
+    {"kind": "analyze", "seed": 7,
+     "graph": {"family": "gnp", "n": 10, "p": 0.5, "require_connected": True}},
+    {"kind": "simulate", "seed": 7,
+     "graph": {"family": "expected_degree", "n": 10, "w": 2.0, "allow_self_loops": False},
+     "sim": {"t_horizon": 5.0, "beta": 0.5, "replicates": 10}},
+    {"kind": "ensemble", "seed": 7, "description": "corpus",
+     "graph": {"family": "expected_degree", "n": 100, "gamma": 2.5, "d": 3, "m": "sqrt_nd",
+               "strict": False},
+     "ensemble": {"replicates": 10}},
+    {"kind": "sweep", "seed": 7,
+     "sweep": {"n": [100, 200], "gamma": 2.5, "d": 4.0, "m": "sqrt_nd", "seeds_per_point": 2,
+               "allow_self_loops": True, "strict": False}},
+]
+
+#: Keys a fault may set inside a block, known ones and an unknown one.
+BLOCK_KEYS = ("family", "n", "k", "r", "p", "gamma", "d", "m", "w", "allow_self_loops",
+              "require_connected", "strict", "t_horizon", "beta", "replicates",
+              "seeds_per_point", "bogus")
+
+#: Values a fault puts at a key: wrong types, out-of-range and in-range
+#: values; DROP removes the key instead.
+DROP = object()
+BAD_VALUES = (DROP, None, True, -1, 0, 1, 3, 10**20, -0.5, 0.5, 2.5, float("inf"), "x",
+              "sqrt_nd", "gnp", "analyze", [], [1, "a"], [0.5, 2], {}, {"gnp": 1}, ["gnp"])
+
+
+def fault_sites(doc):
+    """Paths a fault may change: each top-level key, and each block key of each block."""
+    top = [(key,) for key in ("kind", "seed", "description", "graph", "sweep", "sim",
+                              "ensemble", "bogus")]
+    return top + [(block, key) for block in ("graph", "sweep", "sim", "ensemble")
+                  if block in doc for key in BLOCK_KEYS]
+
+
+def with_faults(doc, faults):
+    """A copy of doc with each (path, value) fault applied, where its path still leads."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in faults:
+        *parents, key = path
+        target = doc
+        for name in parents:
+            target = target.get(name) if isinstance(target, dict) else None
+        if not isinstance(target, dict):
+            continue
+        if value is DROP:
+            target.pop(key, None)
+        else:
+            target[key] = json.loads(json.dumps(value))  # a fault may edit it later
+    return json.dumps(doc)
+
+
+def spec_error_corpus():
+    """Every one-fault spec of VALID_SPECS, and one two-fault spec per fault."""
+    for doc in VALID_SPECS:
+        faults = [(path, value) for path in fault_sites(doc) for value in BAD_VALUES]
+        for i, fault in enumerate(faults):
+            yield with_faults(doc, [fault])
+            yield with_faults(doc, [fault, faults[(37 * i + 11) % len(faults)]])
+
+
+def spec_outcome(text):
+    try:
+        parse_spec(text)
+    except SpecError as exc:
+        return str(exc)
+    return "valid"
+
+
+SPEC_ERRORS_SHA256 = "904b58ea57805c610b6a7d23e98f072d5abc0105105b65653409dd1780de7eaa"
+
+
+def test_spec_errors_match_golden_hash():
+    """The SpecError text of every spec in the corpus is pinned.
+
+    A parser change that keeps behaviour keeps this hash; one that changes
+    which check fires first, or a message, changes it.  An exception other
+    than SpecError fails the test outright.
+    """
+    outcomes = [spec_outcome(text) for text in spec_error_corpus()]
+    assert len(outcomes) > 5000 and outcomes.count("valid") < len(outcomes) // 10
+    digest = hashlib.sha256("\n".join(outcomes).encode("utf-8")).hexdigest()
+    assert digest == SPEC_ERRORS_SHA256
 
 
 # ---------------------------------------------------------------------------

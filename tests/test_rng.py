@@ -22,8 +22,6 @@ from coinwalk.rng import (
     lane_uniforms,
     mix64,
     mix64_into,
-    mix64_vec,
-    uniform_from_u64,
 )
 
 REFERENCE_VECTORS = {
@@ -66,14 +64,6 @@ def test_mix64_is_finalizer_of_advanced_state():
         assert out == mix64((seed + GOLDEN_GAMMA) & MASK64)
 
 
-def test_scalar_and_vector_mix_agree():
-    rng = np.random.default_rng(7)
-    words = rng.integers(0, 2**64, size=1000, dtype=np.uint64)
-    vec = mix64_vec(words.copy())
-    scal = np.array([mix64(int(w)) for w in words], dtype=np.uint64)
-    assert np.array_equal(vec, scal)
-
-
 def test_in_place_mix_matches_scalar_mix():
     # edge words, counter states k * gamma, and random words; out may alias z
     rng = np.random.default_rng(11)
@@ -88,7 +78,6 @@ def test_in_place_mix_matches_scalar_mix():
     assert np.array_equal(out, want) and np.array_equal(z, words)
     assert mix64_into(z, z, tmp) is z
     assert np.array_equal(z, want)
-    assert np.array_equal(mix64_vec(words), want)
 
 
 def test_uniform_block_matches_scalar_draws():
@@ -137,12 +126,26 @@ def test_uniform_range_and_precision():
     assert np.all(u * 2.0**53 == np.floor(u * 2.0**53))
 
 
-def test_uniform_from_u64_top_bits():
-    words = np.array([0, 1 << 11, MASK64], dtype=np.uint64)
-    u = uniform_from_u64(words)
-    assert u[0] == 0.0
-    assert u[1] == 2.0**-53
-    assert u[2] == (2**53 - 1) * 2.0**-53
+def unmix64(z: int) -> int:
+    """The inverse of mix64: each xor-shift and each odd multiplier undone."""
+    for shift, mult in ((31, 0x94D049BB133111EB), (27, 0xBF58476D1CE4E5B9), (30, 1)):
+        x = z
+        for _ in range(64 // shift + 1):
+            x = z ^ (x >> shift)
+        z = (x * pow(mult, -1, 1 << 64)) & MASK64
+    return z
+
+
+def test_lane_uniforms_map_words_by_their_top_bits():
+    # the lanes whose first words are 0, 2**11 and 2**64 - 1: each lane's
+    # seed is one gamma before the state that mix64 finalizes into its word
+    words = [0, 1 << 11, MASK64]
+    seeds = [(unmix64(w) - GOLDEN_GAMMA) & MASK64 for w in words]
+    assert [Stream(s).next_u64() for s in seeds] == words
+    u = lane_uniforms(np.array(seeds, dtype=np.uint64), np.ones(3, dtype=np.int64),
+                      gamma_ramp(3), np.empty(3), np.empty(3, dtype=np.uint64))
+    assert u.tolist() == [0.0, 2.0**-53, (2**53 - 1) * 2.0**-53]
+    assert [Stream(s).uniforms(1)[0] for s in seeds] == u.tolist()  # one lane
 
 
 def test_derive_seed_decorrelates_from_parent_outputs():

@@ -25,10 +25,9 @@ count N (by inverting a cumulative Poisson table, as the start vertices
 invert the stationary one), then one word per event: bit 0 is the coin
 (1 moves Y) and the top 53 bits pick the mover's destination.  Only when
 0 < m < N + 1 does it go on to draw the N + 1 uniforms of the Exp(1)
-variables.  ``simulate_pair`` is the scalar reference; ``simulate_batch``
-runs many replicates in vectorized lockstep and produces bit-identical
-results replicate for replicate, for any chunk size (both paths evaluate
-the same numpy kernels, or exact rewrites of them, on the same draws).
+variables.  ``simulate_batch`` runs many replicates in vectorized lockstep;
+each lane evaluates its own draws only, so replicate r's result does not
+depend on the chunk size or on the replicates run alongside it.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graph_core import Graph, theorem1_bounds
-from .rng import GAMMA_U64, U53_INV, Stream, derive_seeds, gamma_ramp, lane_uniforms, mix64_into
+from .rng import GAMMA_U64, MASK64, U53_INV, derive_seeds, gamma_ramp, lane_uniforms, mix64_into
 
 #: Replicates that ``simulate_batch`` advances in lockstep at a time.  It
 #: bounds the engine's working memory; results do not depend on it.
@@ -77,18 +76,8 @@ class SimConfig:
             raise ValueError("replicates must be at least 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
-
-
-@dataclass(frozen=True)
-class CoincidenceResult:
-    """Outcome of one replicate."""
-
-    tau: float
-    infection_prob: float
-    jumps_x: int
-    jumps_y: int
-    final_x: int
-    final_y: int
+        if self.master_seed > MASK64:
+            raise ValueError("master_seed must be below 2**64")
 
 
 @dataclass(frozen=True)
@@ -184,53 +173,6 @@ def _shared_fraction(uniforms: np.ndarray, counts: np.ndarray, shared: np.ndarra
     sums = np.add.reduceat(logs, cuts)
     num, rest = sums[0::2], sums[1::2]
     return num / (num + rest)
-
-
-def simulate_pair(g: Graph, t_horizon: float, beta: float, seed: int) -> CoincidenceResult:
-    """Run one replicate event by event (scalar reference path).
-
-    Every draw comes from ``Stream(seed)`` in the module's draw order.  All
-    float arithmetic goes through the same numpy scalar kernels the batch
-    path uses, or through ``_shared_fraction`` itself, so results match
-    ``simulate_batch`` bit for bit.
-    """
-    if t_horizon < 0:
-        raise ValueError("t_horizon must be non-negative")
-    cum = _stationary_cumsum(g)
-    if g.n == 1:
-        return CoincidenceResult(
-            tau=float(t_horizon),
-            infection_prob=float(-np.expm1(-beta * t_horizon)),
-            jumps_x=0, jumps_y=0, final_x=0, final_y=0)
-    stream = Stream(seed)
-    total = cum[-1]
-    pos = [int(np.searchsorted(cum, stream.uniform() * total, side="right")) for _ in range(2)]
-    lo, cdf = _event_count_cdf(t_horizon)
-    events = lo + int(np.searchsorted(cdf, stream.uniform(), side="right"))
-    shared = int(pos[0] == pos[1])
-    jumps = [0, 0]
-    offs, nbrs, degs = g.offsets, g.neighbors, g.degrees
-    for _ in range(events):
-        word = stream.next_u64()
-        mover = word & 1
-        v = pos[mover]
-        deg = int(degs[v])
-        k = min(int((word >> 11) * U53_INV * float(deg)), deg - 1)
-        pos[mover] = int(nbrs[offs[v] + k])
-        jumps[mover] += 1
-        shared += pos[0] == pos[1]
-    if shared == 0:
-        tau = 0.0
-    elif shared > events:
-        tau = float(t_horizon)
-    else:
-        frac = _shared_fraction(stream.uniforms(events + 1), np.array([events + 1]),
-                                np.array([shared]))
-        tau = float(t_horizon * frac[0])
-    return CoincidenceResult(
-        tau=tau,
-        infection_prob=float(-np.expm1(-beta * tau)),
-        jumps_x=jumps[0], jumps_y=jumps[1], final_x=pos[0], final_y=pos[1])
 
 
 def _simulate_chunk(g: Graph, cum: np.ndarray, t_horizon: float,
@@ -336,23 +278,21 @@ def _shared_fractions_in_groups(states: np.ndarray, counts: np.ndarray, shared: 
 
 
 def simulate_batch(g: Graph, cfg: SimConfig) -> ReplicateBatch:
-    """Run cfg.replicates independent replicates (vectorized path).
+    """Run cfg.replicates independent replicates in vectorized lockstep.
 
-    Replicate r uses the derived seed (master_seed, r), so the result for
-    each replicate is independent of ``CHUNK_SIZE`` and of how many
-    replicates run alongside it, and matches ``simulate_pair`` with that
-    seed bit for bit.
+    Replicate r runs the module's draw order on the stream of the derived
+    seed (master_seed, r), so its result is independent of ``CHUNK_SIZE``
+    and of how many replicates run alongside it.
     """
     cum = _stationary_cumsum(g)
     n_rep = cfg.replicates
-    taus = np.full(n_rep, float(cfg.t_horizon))
-    jumps = np.zeros((n_rep, 2), dtype=np.int64)
-    final = np.zeros((n_rep, 2), dtype=np.int64)
-    if g.n > 1:
-        rep_seeds = derive_seeds(cfg.master_seed, np.arange(n_rep, dtype=np.uint64))
-        for base in range(0, n_rep, CHUNK_SIZE):
-            _simulate_chunk(g, cum, cfg.t_horizon, rep_seeds[base:base + CHUNK_SIZE],
-                            (taus, jumps, final), base)
+    taus = np.empty(n_rep)
+    jumps = np.empty((n_rep, 2), dtype=np.int64)
+    final = np.empty((n_rep, 2), dtype=np.int64)
+    rep_seeds = derive_seeds(cfg.master_seed, np.arange(n_rep, dtype=np.uint64))
+    for base in range(0, n_rep, CHUNK_SIZE):
+        _simulate_chunk(g, cum, cfg.t_horizon, rep_seeds[base:base + CHUNK_SIZE],
+                        (taus, jumps, final), base)
     return ReplicateBatch(
         taus=taus, infection_probs=-np.expm1(-cfg.beta * taus),
         jumps_x=jumps[:, 0], jumps_y=jumps[:, 1],

@@ -211,13 +211,15 @@ def circulant_tau_variance(n, k, t_horizon):
 
 
 def test_mean_coincidence_time_on_a_large_circulant_is_t_over_n():
-    """At n = 1e5 the mean of tau is t/n within 4 exact standard errors.
+    """At n = 1e5 the mean of tau is t/n within 4 exact standard errors,
+    and the sample variance of tau is within 4 SE of the exact Var(tau(t)).
 
     This is the paper's regime, a large homogeneous graph, where the dense
-    oracles above cannot run.  The SE is sqrt(Var(tau) / R) from the exact
-    circulant variance, not from the sample, so it does not shrink with a
-    run of few or short coincidences.  The closed form is first pinned to
-    the dense spectral value on small circulants.
+    oracles above cannot run.  The mean's SE is sqrt(Var(tau) / R) from the
+    exact circulant variance, not from the sample, so it does not shrink
+    with a run of few or short coincidences.  The variance's SE is that of
+    ``test_variance_of_tau_matches_exact_spectral_value``.  The closed form
+    is first pinned to the dense spectral value on small circulants.
     """
     for n, k, t_horizon in ((9, 2, 3.0), (12, 1, 40.0), (30, 3, 2.5), (50, 2, 10.0)):
         exact = exact_tau_variance(gen_circulant(n, k), t_horizon)
@@ -226,12 +228,18 @@ def test_mean_coincidence_time_on_a_large_circulant_is_t_over_n():
     start = time.perf_counter()
     taus = simulate_batch(gen_circulant(n, k), SimConfig(
         t_horizon=t_horizon, replicates=reps, master_seed=2008)).taus
-    se = math.sqrt(circulant_tau_variance(n, k, t_horizon) / reps)
+    exact = circulant_tau_variance(n, k, t_horizon)
+    se = math.sqrt(exact / reps)
     z = (float(taus.mean()) - t_horizon / n) / se
     coinciding = int(np.count_nonzero(taus))
     assert abs(z) <= 4.0, (float(taus.mean()), se, coinciding)
+    dev = taus - taus.mean()
+    s2 = float(dev.var(ddof=1))
+    z_var = (s2 - exact) / math.sqrt((float(np.mean(dev**4)) - s2**2) / reps)
+    assert abs(z_var) <= 4.0, (s2, exact, coinciding)
     report("large circulant mean",
-           f"C_1e5(30), t=100: z={z:+.2f} with exact SE, {coinciding} of {reps} "
+           f"C_1e5(30), t=100: z={z:+.2f} with exact SE, variance z={z_var:+.2f} "
+           f"({s2:.3e} vs {exact:.3e}), {coinciding} of {reps} "
            f"replicates coincided ({time.perf_counter() - start:.1f}s)")
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from coinwalk import generators
 from coinwalk.cli import EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_SPEC, main
-from coinwalk.generators import gen_complete, gen_expected_degree, uniform_weights
+from coinwalk.generators import gen_expected_degree, uniform_weights
 from coinwalk.graph_core import MAX_REPLICATES, MAX_VERTICES, build_graph
 from coinwalk.harness import (
     COLUMNS,
@@ -23,7 +23,7 @@ from coinwalk.harness import (
     run_experiment,
 )
 from coinwalk.rng import Stream, derive_seed
-from coinwalk.walk_sim import SimConfig, simulate_pair
+from coinwalk.walk_sim import SimConfig
 
 
 def spec_text(**overrides):
@@ -635,7 +635,8 @@ REJECTIONS = [
     (partial(build_graph, 3, [(0, 1, 2)]), "edges must be pairs"),
     (partial(Stream(1).uniforms, -1), "size must be non-negative"),
     (partial(SimConfig, t_horizon=1.0, master_seed=-1), "master_seed must be non-negative"),
-    (partial(simulate_pair, gen_complete(3), -1.0, 0.0, 1), "t_horizon must be non-negative"),
+    # a seed of 2**64 or more once aliased the seed it equals modulo 2**64
+    (partial(SimConfig, t_horizon=1.0, master_seed=5 + 2**64), "master_seed must be below 2**64"),
 ]
 
 

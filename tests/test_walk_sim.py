@@ -1,10 +1,11 @@
 """Tests for the two-walker coincidence simulator.
 
-The load-bearing property is bit-level agreement between the scalar
-reference engine and the vectorized batch engine: replicate r of a batch
-must equal simulate_pair run on the derived seed (master_seed, r), exactly,
-for any ``CHUNK_SIZE``.  Everything downstream (acceptance checks, sweeps)
-leans on that equivalence.
+Two checks are load-bearing.  ``replay`` re-runs one replicate event by
+event from its own stream in the documented draw order, and replicate r of
+a batch must agree with it on the derived seed (master_seed, r): jumps and
+final vertices exactly, tau to rounding.  And a batch must give the same
+bits for any ``CHUNK_SIZE``.  Everything downstream (acceptance checks,
+sweeps) leans on those two.
 """
 
 import math
@@ -17,13 +18,7 @@ from coinwalk import walk_sim
 from coinwalk.generators import gen_complete, gen_gnp
 from coinwalk.graph_core import build_graph
 from coinwalk.rng import Stream, derive_seeds, mix64_into
-from coinwalk.walk_sim import (
-    CoincidenceResult,
-    SimConfig,
-    simulate_batch,
-    simulate_pair,
-    verify_theorem1,
-)
+from coinwalk.walk_sim import SimConfig, simulate_batch, verify_theorem1
 
 
 def path3():
@@ -32,6 +27,57 @@ def path3():
 
 def star3():
     return build_graph(4, [(0, 1), (0, 2), (0, 3)])
+
+
+def replay(g, t_horizon, seed):
+    """One replicate, replayed from ``Stream(seed)`` in the documented draw order.
+
+    X's start, Y's start, the event count, one word per event (bit 0 the
+    coin, the top 53 bits the destination), then N + 1 Exp(1) variables when
+    the walkers met on some but not all of the N + 1 intervals.  Returns
+    (jumps_x, jumps_y, final_x, final_y, tau).
+    """
+    stream = Stream(seed)
+    cum = np.cumsum(g.degrees)
+    pos = [int(np.searchsorted(cum, stream.uniform() * cum[-1], side="right"))
+           for _ in range(2)]
+    lo, cdf = walk_sim._event_count_cdf(t_horizon)
+    events = lo + int(np.searchsorted(cdf, stream.uniform(), side="right"))
+    jumps = [0, 0]
+    together = int(pos[0] == pos[1])
+    for _ in range(events):
+        word = stream.next_u64()
+        mover, v = word & 1, pos[word & 1]
+        k = int((word >> 11) * 2.0**-53 * int(g.degrees[v]))
+        pos[mover] = int(g.neighbors[g.offsets[v] + k])
+        jumps[mover] += 1
+        together += pos[0] == pos[1]
+    if 0 < together <= events:
+        exps = -np.log1p(-stream.uniforms(events + 1))
+        tau = t_horizon * math.fsum(exps[:together]) / math.fsum(exps)
+    else:
+        tau = t_horizon * (together > 0)
+    return (*jumps, *pos, tau)
+
+
+def assert_batch_follows_replay(g, cfg, monkeypatch):
+    """Run cfg at ``CHUNK_SIZE`` 64 and check every replicate against ``replay``."""
+    monkeypatch.setattr(walk_sim, "CHUNK_SIZE", 64)
+    batch = simulate_batch(g, cfg)
+    seeds = derive_seeds(cfg.master_seed, np.arange(cfg.replicates)).tolist()
+    for r, seed in enumerate(seeds):
+        *path, tau = replay(g, cfg.t_horizon, seed)
+        got = (batch.jumps_x[r], batch.jumps_y[r], batch.final_x[r], batch.final_y[r])
+        assert tuple(map(int, got)) == tuple(path), r
+        assert batch.taus[r] == pytest.approx(tau, rel=1e-13, abs=0.0), r
+        assert batch.infection_probs[r] == pytest.approx(
+            -math.expm1(-cfg.beta * tau), rel=1e-13, abs=0.0), r
+    return batch
+
+
+def assert_same_batch(a, b):
+    for field in ("taus", "infection_probs", "jumps_x", "jumps_y", "final_x", "final_y"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 # ---------------------------------------------------------------------------
@@ -50,44 +96,43 @@ def test_sim_config_validation():
 def test_simulation_rejects_edgeless_graph():
     g = build_graph(3, [])
     with pytest.raises(ValueError, match="no edges"):
-        simulate_pair(g, 1.0, 0.0, seed=1)
-    with pytest.raises(ValueError, match="no edges"):
         simulate_batch(g, SimConfig(t_horizon=1.0))
 
 
 # ---------------------------------------------------------------------------
-# scalar engine semantics
+# engine semantics
 
 
 def test_tau_is_bounded_by_horizon():
-    g = path3()
-    for seed in range(50):
-        res = simulate_pair(g, 3.0, 0.5, seed=seed)
-        assert 0.0 <= res.tau <= 3.0
-        assert 0.0 <= res.infection_prob < 1.0
-        assert res.infection_prob == pytest.approx(-math.expm1(-0.5 * res.tau))
+    batch = simulate_batch(path3(), SimConfig(t_horizon=3.0, beta=0.5, replicates=50))
+    assert np.all((0.0 <= batch.taus) & (batch.taus <= 3.0))
+    assert np.all((0.0 <= batch.infection_probs) & (batch.infection_probs < 1.0))
+    assert np.allclose(batch.infection_probs, -np.expm1(-0.5 * batch.taus), rtol=1e-15, atol=0)
 
 
 def test_single_vertex_graph_coincides_always():
     # one vertex with a self-loop: walkers never separate, tau = t exactly
     g = build_graph(1, [(0, 0)], allow_self_loops=True)
-    res = simulate_pair(g, 7.5, 1.0, seed=3)
-    assert res.tau == 7.5
-    assert res.final_x == 0 and res.final_y == 0
     batch = simulate_batch(g, SimConfig(t_horizon=7.5, replicates=8, master_seed=1))
     assert np.all(batch.taus == 7.5)
+    assert np.all(batch.final_x == 0) and np.all(batch.final_y == 0)
 
 
 def test_k2_determinism_and_flip_parity():
     # on K_2 every jump flips the walker, so the final gap is determined by
-    # the initial gap and the total jump parity; at horizon 0 the same seed
-    # stops before the first jump, so its final vertices are the start ones
-    res = simulate_pair(gen_complete(2), 50.0, 0.0, seed=11)
-    init = simulate_pair(gen_complete(2), 0.0, 0.0, seed=11)
+    # the initial gap and the total jump parity; at horizon 0 the same
+    # replicate stops before the first jump, so its final vertices are the
+    # start ones
+    cfg = SimConfig(t_horizon=50.0, replicates=200, master_seed=11)
+    res = simulate_batch(gen_complete(2), cfg)
+    init = simulate_batch(gen_complete(2), SimConfig(t_horizon=0.0, replicates=200,
+                                                     master_seed=11))
+    assert np.all(init.jumps_x + init.jumps_y == 0)
     started_together = init.final_x == init.final_y
+    assert started_together.any() and not started_together.all()
     parity_even = (res.jumps_x + res.jumps_y) % 2 == 0
-    assert (res.final_x == res.final_y) == (started_together == parity_even)
-    assert res == simulate_pair(gen_complete(2), 50.0, 0.0, seed=11)
+    assert np.array_equal(res.final_x == res.final_y, started_together == parity_even)
+    assert_same_batch(res, simulate_batch(gen_complete(2), cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -144,43 +189,16 @@ def test_event_counts_are_poisson_of_twice_the_horizon():
     assert chisquare(counts, probs * reps).pvalue > 1e-3
 
 
-def test_pair_follows_the_documented_draw_order():
-    # replay one stream per seed: X's start, Y's start, the event count, one
-    # word per event (bit 0 the coin, the top 53 bits the destination), then
-    # N + 1 Exp(1) variables when the walkers met on some but not all of
-    # the N + 1 intervals
-    g, t_horizon = star3(), 2.0
-    cum = np.cumsum(g.degrees)
-    partial = 0
-    for seed in range(200):
-        stream = Stream(seed)
-        pos = [int(np.searchsorted(cum, stream.uniform() * cum[-1], side="right"))
-               for _ in range(2)]
-        lo, cdf = walk_sim._event_count_cdf(t_horizon)
-        events = lo + int(np.searchsorted(cdf, stream.uniform(), side="right"))
-        jumps = [0, 0]
-        together = int(pos[0] == pos[1])
-        for _ in range(events):
-            word = stream.next_u64()
-            mover, v = word & 1, pos[word & 1]
-            k = int((word >> 11) * 2.0**-53 * int(g.degrees[v]))
-            pos[mover] = int(g.neighbors[g.offsets[v] + k])
-            jumps[mover] += 1
-            together += pos[0] == pos[1]
-        if 0 < together <= events:
-            partial += 1
-            exps = -np.log1p(-stream.uniforms(events + 1))
-            tau = t_horizon * math.fsum(exps[:together]) / math.fsum(exps)
-        else:
-            tau = t_horizon * (together > 0)
-        res = simulate_pair(g, t_horizon, 0.0, seed=seed)
-        assert (res.jumps_x, res.jumps_y, res.final_x, res.final_y) == (*jumps, *pos)
-        assert res.tau == pytest.approx(tau, rel=1e-13, abs=0.0)
-    assert partial >= 20
+def test_pair_follows_the_documented_draw_order(monkeypatch):
+    # star3 at t = 2: the walkers meet on some but not all intervals in
+    # enough replicates that the Exp(1) draws are replayed too
+    batch = assert_batch_follows_replay(
+        star3(), SimConfig(t_horizon=2.0, replicates=200, master_seed=0), monkeypatch)
+    assert np.count_nonzero((0.0 < batch.taus) & (batch.taus < 2.0)) >= 20
 
 
 # ---------------------------------------------------------------------------
-# batch engine: bit equality with the scalar engine
+# batch engine: every replicate is its replay, at any chunk size
 
 
 @pytest.mark.parametrize(
@@ -193,26 +211,13 @@ def test_pair_follows_the_documented_draw_order():
         # self-loops and two components
         (lambda: build_graph(5, [(0, 0), (0, 1), (1, 2), (2, 2), (3, 4)],
                              allow_self_loops=True), 15.0),
+        # one vertex: every event traverses the loop, and is a jump
+        (lambda: build_graph(1, [(0, 0)], allow_self_loops=True), 7.5),
     ],
 )
-def test_batch_matches_scalar_bit_for_bit(graph_builder, t_horizon, monkeypatch):
-    monkeypatch.setattr(walk_sim, "CHUNK_SIZE", 64)
-    g = graph_builder()
-    master = 2468
-    cfg = SimConfig(t_horizon=t_horizon, beta=0.7, replicates=300, master_seed=master)
-    batch = simulate_batch(g, cfg)
-    rep_seeds = derive_seeds(master, np.arange(300))
-    for r in (0, 1, 17, 100, 299):
-        ref = simulate_pair(g, t_horizon, 0.7, seed=int(rep_seeds[r]))
-        got = CoincidenceResult(
-            tau=float(batch.taus[r]),
-            infection_prob=float(batch.infection_probs[r]),
-            jumps_x=int(batch.jumps_x[r]),
-            jumps_y=int(batch.jumps_y[r]),
-            final_x=int(batch.final_x[r]),
-            final_y=int(batch.final_y[r]),
-        )
-        assert got == ref
+def test_batch_matches_the_replay(graph_builder, t_horizon, monkeypatch):
+    cfg = SimConfig(t_horizon=t_horizon, beta=0.7, replicates=300, master_seed=2468)
+    assert_batch_follows_replay(graph_builder(), cfg, monkeypatch)
 
 
 def test_batch_chunk_size_is_invisible(monkeypatch):
@@ -221,12 +226,7 @@ def test_batch_chunk_size_is_invisible(monkeypatch):
     monkeypatch.setattr(walk_sim, "CHUNK_SIZE", 7)
     a = simulate_batch(g, cfg)
     monkeypatch.setattr(walk_sim, "CHUNK_SIZE", 500)
-    b = simulate_batch(g, cfg)
-    assert np.array_equal(a.taus, b.taus)
-    assert np.array_equal(a.jumps_x, b.jumps_x)
-    assert np.array_equal(a.jumps_y, b.jumps_y)
-    assert np.array_equal(a.final_x, b.final_x)
-    assert np.array_equal(a.final_y, b.final_y)
+    assert_same_batch(a, simulate_batch(g, cfg))
 
 
 def test_batch_steps_exactly_the_lanes_with_events_left(monkeypatch):

@@ -9,9 +9,9 @@ The parent commit is exported with ``git archive`` into a temporary
 directory, and the working tree's files (tracked or untracked, not ignored)
 are copied into another, so both sides run from fresh directories on the
 same file system.  Each side first runs the Tier-1 suite once
-(``PYTHONPATH=src python -m pytest -q -p no:cacheprovider --durations=5``),
-which records its wall seconds, passed and failed counts and five slowest
-tests.  Then, for every workload of ``BENCHMARK.json``, the
+(``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors -p
+no:cacheprovider --durations=5``), which records its wall seconds, its
+passed, failed, error and skipped counts and its five slowest tests.  Then, for every workload of ``BENCHMARK.json``, the
 unmodified ``perfbench/run.py --trace 0`` runs for the benchmark's
 ``run_seconds`` in ``PAIRS`` pairs: once in each directory, alternating
 which side goes first, with seed ``SEED + i`` on both sides of pair i.  After the pairs, one
@@ -52,7 +52,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 INVOCATION = re.compile(r"^invocation \d+: seed=(\d+) .* sha256=([0-9a-f]*)$")
 DURATION = re.compile(r"^([0-9.]+)s (\w+) +(.+)$")
-OUTCOME = re.compile(r"(\d+) (passed|failed)")
+OUTCOME = re.compile(r"(\d+) (passed|failed|skipped|error)s?\b")
 PAIRS = 10
 
 
@@ -103,7 +103,8 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
 
 def run_tier1(tree: Path) -> dict:
     """Tier-1 once in ``tree``: wall seconds, exit code, outcome counts, slowest tests."""
-    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=5"]
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+            "-p", "no:cacheprovider", "--durations=5"]
     start = time.monotonic()
     proc = subprocess.run(argv, cwd=tree, env={**os.environ, "PYTHONPATH": "src"},
                           capture_output=True, text=True, timeout=3600)
@@ -112,8 +113,9 @@ def run_tier1(tree: Path) -> dict:
     counts = dict((kind, int(num)) for num, kind in OUTCOME.findall(lines[-1] if lines else ""))
     slowest = [{"seconds": float(m.group(1)), "phase": m.group(2), "test": m.group(3)}
                for m in map(DURATION.match, lines) if m]
-    return {"wall_s": wall_s, "exit": proc.returncode, "passed": counts.get("passed", 0),
-            "failed": counts.get("failed", 0), "slowest": slowest}
+    return {"wall_s": wall_s, "exit": proc.returncode,
+            **{kind: counts.get(kind, 0) for kind in ("passed", "failed", "error", "skipped")},
+            "slowest": slowest}
 
 
 def spread(values: list[float]) -> dict:
@@ -166,6 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         report["tier1"] = {side: run_tier1(trees[side]) for side in trees}
         for side, tier1 in report["tier1"].items():
             print(f"tier1 {side}: {tier1['passed']} passed, {tier1['failed']} failed, "
+                  f"{tier1['error']} errors, {tier1['skipped']} skipped, "
                   f"exit {tier1['exit']}, {tier1['wall_s']:.1f} s", flush=True)
         for name in (w["name"] for w in bench["workloads"]):
             runs: dict[str, list[dict]] = {"parent": [], "change": []}

@@ -36,20 +36,20 @@ each followed by one thinning uniform per candidate it produced.
 Lockstep: one walk serves one graph or many.  Each replicate is a lane
 with its own splitmix64 state, and draws exactly the uniforms, in exactly
 the order, that its stream draws alone, so a graph does not depend on the
-replicates walked beside it; a single graph is one lane.  Two bounds keep
-the memory of a one-graph draw: a block is walked by groups of lanes
-whose count times the block's first (widest) chunk is at most the plan's
-widest chunk (or the lane count, if larger), and replicates whose seeds
-are known up front (``sampler_for`` with ``seeds``) are drawn
-``max(1, _CHUNK // n)`` at a time and served in that order, each once.
-Those replicates are reduced chunk by chunk straight into degree rows, so
-no edge list is held; a replicate's graph keeps its offsets and its seed,
-and walks that one lane again to build its adjacency if ``neighbors`` is
-read.
+replicates walked beside it; a single graph is one lane.  One rule bounds
+memory: no walk step holds more than ``_CHUNK`` gap slots across its
+lanes, so a block's lanes walk in groups of ``_CHUNK // first``, its first
+chunk being its widest.  Replicates whose seeds are known up front
+(``sampler_for`` with ``seeds``) are drawn ``max(1, _CHUNK // n)`` at a
+time, so a replicate chunk's degree rows hold about ``_CHUNK`` entries,
+and are served in that order, each once.  They are reduced chunk by chunk
+straight into degree rows, so no edge list is held; a replicate's graph
+keeps its offsets and its seed, and walks that one lane again to build its
+adjacency if ``neighbors`` is read.
 
-Workspace: each thread owns one set of chunk buffers (``_Workspace``),
-grown to the widest chunk it has walked and reused by every later walk on
-that thread, across blocks, replicates, grid points and samplers.  A
+Workspace: each thread owns one set of chunk buffers (``_Workspace``) of
+``_CHUNK`` entries, allocated by its first walk and reused by every later
+walk on that thread, across blocks, replicates, grid points and samplers.  A
 chunk's pipeline -- gap uniforms, positions, kept positions, pairs (u, v),
 their probabilities q, thinning uniforms and keep mask -- is written into
 it in place; only the kept pairs a walk yields are new arrays, and the
@@ -301,12 +301,12 @@ def _draw(attempt, budget: int, require_connected: bool, seed: int) -> Graph:
 class _Workspace(threading.local):
     """The pair sampler's chunk buffers: one set per thread, reused by every walk.
 
-    Each buffer holds ``size`` entries, grown to the largest chunk the
-    thread has walked; a chunk of up to ``size`` gap slots fits, and so do
-    its kept positions, pairs, probabilities and thinning uniforms.  A walk
-    step fills the buffers and reads them back before it yields owned
-    arrays, so no buffer's contents outlive a step: walks on one thread
-    may interleave, and threads never share a buffer.
+    Each buffer holds ``size`` entries, at least ``_CHUNK``, so one walk
+    step of up to ``_CHUNK`` gap slots fits, and so do its kept positions,
+    pairs, probabilities and thinning uniforms.  A walk step fills the
+    buffers and reads them back before it yields owned arrays, so no
+    buffer's contents outlive a step: walks on one thread may interleave,
+    and threads never share a buffer.
     """
 
     size = 0
@@ -314,7 +314,7 @@ class _Workspace(threading.local):
     def fit(self, size: int) -> "_Workspace":
         """This thread's buffers, grown to at least ``size`` entries."""
         if size > self.size:
-            self.size = size
+            self.size = size = max(size, _CHUNK)
             self.ramp = gamma_ramp(size)
             self.words = np.empty(size, dtype=np.uint64)
             self.gaps, self.q, self.thin = (np.empty(size) for _ in range(3))
@@ -459,8 +459,8 @@ def _pair_sampler(w: np.ndarray, total: float, loops: bool):
     the running count of pairs they kept (lane i's pairs end at ends[i]),
     the pairs lane after lane, and whether the block can hold a loop (u == v).
     The kept pairs are owned arrays; everything else a chunk computes lives
-    in the ``_Workspace`` of the thread that runs the step, grown up front to
-    the walk's widest chunk.
+    in the ``_Workspace`` of the thread that runs the step, and no step
+    holds more than ``_CHUNK`` gap slots, whatever the lane count.
     """
     n = w.size
     # a class ends at the first weight below half its first; the key negates
@@ -482,15 +482,12 @@ def _pair_sampler(w: np.ndarray, total: float, loops: bool):
                 blocks.append((a0, b0, (a1 - a0) * (b1 - b0), p, _rectangle_pairs, b1 - b0))
 
     firsts = [min(_CHUNK, int(size * p * 1.1) + 16) for _, _, size, p, _, _ in blocks]
-    widest = max(firsts, default=0)
 
     def walk(states: np.ndarray):
-        # lanes walked together x a block's first (widest) chunk stays within
-        # the plan's widest chunk, or within the lane count for tiny plans
-        bound = max(widest, states.size)
-        ws = _WORKSPACE.fit(bound)
+        ws = _WORKSPACE
         for (u0, v0, size, p, pairs, shape), first in zip(blocks, firsts):
-            group = max(1, bound // first)
+            # a block's first chunk is its widest: a group of lanes holds at most _CHUNK gaps
+            group = _CHUNK // first
             for g0 in range(0, states.size, group):
                 for lanes, lane_states, counts, linear in _geometric_walk(
                         size, p, states[g0:g0 + group]):

@@ -466,6 +466,8 @@ def _run_point(spec: ExperimentSpec, index: int, point: dict[str, Any]) -> Resul
                 row.sd_n_sum_pi_sq = float(ratios.std(ddof=1))
     except (ValueError, GenerationError) as exc:
         row.error = str(exc)
+    except MemoryError as exc:  # this point's arrays do not fit; the other points still run
+        row.error = f"out of memory: {exc}" if str(exc) else "out of memory"
     row.wall_time_s = time.perf_counter() - start
     return row
 
@@ -474,9 +476,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
     """Execute every grid point; rows come back in grid order.
 
     Grid point i derives its seed as (spec.seed, i), so results do not
-    depend on ``jobs``.  A point that fails validation or generation
-    produces a row with its ``error`` field set instead of aborting the
-    whole run.
+    depend on ``jobs``.  A point that fails validation or generation, or
+    cannot allocate its arrays, produces a row with its ``error`` field set
+    instead of aborting the whole run.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")

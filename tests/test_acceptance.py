@@ -3,12 +3,16 @@
 Each test prints exactly one PASS line (with the measured numbers) when its
 criterion holds; a failure shows up as an ordinary pytest failure.  Seeds
 are frozen so every run checks the same realizations; tolerances are stated
-inline.  Thirteen criteria:
+inline.  Fifteen criteria:
 
  1. exact stationary identities on regular families;
  2. mean coincidence time matches t * sum(pi^2) on four small graphs;
  2b. on a circulant at n = 1e5 it matches t/n within 4 standard errors
     of the exact Var(tau(t));
+ 2c. the Kesten-McKay Var(tau(t)) of random regular graphs is within 1%
+    of dense spectra at n = 1000;
+ 2d. on a random 3-regular graph at n = 2e5 the mean matches t/n within 4
+    standard errors of the Kesten-McKay Var(tau(t));
  3. the concavity upper bound on mean infection probability holds;
  4. the sample variance of tau matches the exact spectral Var(tau(t));
  4b. the mean infection probability matches its exact Feynman-Kac value;
@@ -210,6 +214,38 @@ def circulant_tau_variance(n, k, t_horizon):
     return 2.0 * t_horizon**2 / n**2 * float(f.sum())
 
 
+def kesten_mckay_nodes(r):
+    """Midpoint nodes x and weights of the Kesten-McKay law of degree r.
+
+    The law is the limit spectrum of A on random r-regular graphs (Kesten,
+    Trans. AMS 92, 1959; McKay, Linear Algebra Appl. 40, 1981), with density
+    r sqrt(4(r-1) - x^2) / (2 pi (r^2 - x^2)) on |x| <= 2 sqrt(r-1).  In
+    x = 2 sqrt(r-1) cos(theta) it becomes 2 r (r-1) sin^2(theta) /
+    (pi (r^2 - x^2)) on 0 < theta < pi, a smooth integrand that the
+    midpoint rule integrates to near machine precision.
+    """
+    points = 4096
+    theta = (np.arange(points) + 0.5) * (np.pi / points)
+    x = 2.0 * math.sqrt(r - 1) * np.cos(theta)
+    return x, 2.0 * r * (r - 1) * np.sin(theta) ** 2 / (r * r - x * x) / points
+
+
+def regular_tau_variance(n, r, t_horizon):
+    """Var(tau(t)) on a random r-regular graph of n vertices, without sampling.
+
+    On a regular graph Var(tau(t)) = (2/n^2) sum_{j != 0} (a_j t +
+    exp(-a_j t) - 1) / a_j^2 with a_j = 2 (1 - x_j / r), x_j the eigenvalues
+    of A (``circulant_tau_variance``).  The n - 1 of them other than r follow
+    the Kesten-McKay law as n grows, so the sum is (n - 1) times an integral
+    over it; a_j >= 2 (1 - 2 sqrt(r-1) / r) > 0 for r >= 3 keeps it regular.
+    """
+    x, weight = kesten_mckay_nodes(r)
+    a = 2.0 * (1.0 - x / r)
+    at = a * t_horizon
+    integral = float(np.sum(weight * (at + np.expm1(-at)) / a**2))
+    return 2.0 / n * (1.0 - 1.0 / n) * integral
+
+
 def test_mean_coincidence_time_on_a_large_circulant_is_t_over_n():
     """At n = 1e5 the mean of tau is t/n within 4 exact standard errors,
     and the sample variance of tau is within 4 SE of the exact Var(tau(t)).
@@ -240,6 +276,52 @@ def test_mean_coincidence_time_on_a_large_circulant_is_t_over_n():
     report("large circulant mean",
            f"C_1e5(30), t=100: z={z:+.2f} with exact SE, variance z={z_var:+.2f} "
            f"({s2:.3e} vs {exact:.3e}), {coinciding} of {reps} "
+           f"replicates coincided ({time.perf_counter() - start:.1f}s)")
+
+
+def test_kesten_mckay_variance_matches_dense_spectra_of_random_regular_graphs():
+    """The Kesten-McKay Var(tau(t)) is within 1% of the dense spectral value
+    on a random 3- and a random 4-regular graph of 1000 vertices, and its
+    quadrature has mass 1 and the r-regular tree's return-time Green's
+    function (r-1)/(r-2)."""
+    for r in (3, 4):
+        x, weight = kesten_mckay_nodes(r)
+        assert float(weight.sum()) == pytest.approx(1.0, abs=1e-10)
+        assert float(np.sum(weight / (1.0 - x / r))) == pytest.approx((r - 1) / (r - 2),
+                                                                       rel=1e-10)
+    errors = []
+    for r, seed in ((3, 31), (4, 41)):
+        exact = exact_tau_variance(gen_random_regular(1000, r, seed), 100.0)
+        errors.append(regular_tau_variance(1000, r, 100.0) / exact - 1.0)
+        assert abs(errors[-1]) <= 0.01, (r, seed, errors[-1])
+    report("Kesten-McKay variance",
+           "n=1000, t=100: " + ", ".join(f"{e:+.2%}" for e in errors) + " vs dense spectra")
+
+
+def test_mean_coincidence_time_on_a_large_random_regular_graph_is_t_over_n():
+    """At n = 2e5 on a random 3-regular graph the mean of tau is t/n within
+    4 Kesten-McKay standard errors, and the sample variance of tau is within
+    4 SE of the Kesten-McKay Var(tau(t)).
+
+    The mean's SE, sqrt(Var(tau) / R), does not come from the sample, so a
+    run of few or short coincidences does not shrink it; the variance's SE
+    is that of ``test_variance_of_tau_matches_exact_spectral_value``.
+    """
+    n, r, t_horizon, reps = 200_000, 3, 100.0, 500_000
+    start = time.perf_counter()
+    taus = simulate_batch(gen_random_regular(n, r, seed=2021), SimConfig(
+        t_horizon=t_horizon, replicates=reps, master_seed=2021)).taus
+    var = regular_tau_variance(n, r, t_horizon)
+    z = (float(taus.mean()) - t_horizon / n) / math.sqrt(var / reps)
+    coinciding = int(np.count_nonzero(taus))
+    assert abs(z) <= 4.0, (float(taus.mean()), var, coinciding)
+    dev = taus - taus.mean()
+    s2 = float(dev.var(ddof=1))
+    z_var = (s2 - var) / math.sqrt((float(np.mean(dev**4)) - s2**2) / reps)
+    assert abs(z_var) <= 4.0, (s2, var, coinciding)
+    report("large random regular mean",
+           f"3-regular n=2e5, t=100: z={z:+.2f} with Kesten-McKay SE, variance "
+           f"z={z_var:+.2f} ({s2:.3e} vs {var:.3e}), {coinciding} of {reps} "
            f"replicates coincided ({time.perf_counter() - start:.1f}s)")
 
 

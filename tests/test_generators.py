@@ -409,18 +409,35 @@ LOCKSTEP_SPECS = {
 }
 
 
+def record_walk_steps(monkeypatch):
+    """The lane count and first chunk width of every later ``_geometric_walk`` call."""
+    steps = []
+    walk = generators._geometric_walk
+
+    def recorded(size, p, states):
+        steps.append((states.size, min(generators._CHUNK, int(size * p * 1.1) + 16)))
+        return walk(size, p, states)
+
+    monkeypatch.setattr(generators, "_geometric_walk", recorded)
+    return steps
+
+
 @pytest.mark.parametrize("replicates", [1, 2, 7])
 @pytest.mark.parametrize("name", LOCKSTEP_SPECS)
 def test_lockstep_draws_equal_one_at_a_time_draws(name, replicates, monkeypatch):
     # a small _CHUNK gives multi-chunk blocks (gnp), replicate chunks of
     # 5 lanes (128 // 24) and blocks walked in several groups of lanes
     monkeypatch.setattr(generators, "_CHUNK", 128)
+    steps = record_walk_steps(monkeypatch)
     spec = LOCKSTEP_SPECS[name]
     seeds = [derive_seed(31, j) for j in range(replicates)]
     alone = sampler_for(spec)
     draw = sampler_for(spec, seeds)
-    for s in seeds:
-        g, want = draw(s), alone(s)
+    graphs = [draw(s) for s in seeds]
+    if name == "gnp":  # its one block's first chunk is 128 gaps: one lane per group
+        assert [lanes for lanes, _ in steps] == [1] * replicates
+    for s, g in zip(seeds, graphs):
+        want = alone(s)
         assert "neighbors" not in vars(g)  # degrees only, adjacency rebuilt on read
         assert np.array_equal(g.offsets, want.offsets)
         assert (g.self_loop_count, g.edge_count) == (want.self_loop_count, want.edge_count)
@@ -430,6 +447,22 @@ def test_lockstep_draws_equal_one_at_a_time_draws(name, replicates, monkeypatch)
         draw(seeds[0])  # each seed is served once
     with pytest.raises(ValueError, match="not the next seed"):
         sampler_for(spec, seeds)(derive_seed(31, replicates))  # and only in order
+    # no walk step holds more than _CHUNK gap slots across its lanes
+    assert max(lanes * first for lanes, first in steps) <= 128
+
+
+def test_lockstep_walk_steps_carry_every_lane_that_fits(monkeypatch):
+    # ensemble_scan's n = 2000 point: every block's first chunk times 10
+    # lanes fits in _CHUNK, so each walk step carries all 10 replicates
+    n = 2000
+    steps = record_walk_steps(monkeypatch)
+    spec = GenSpec("expected_degree", n=n, gamma=2.5, d=5.0, m=math.sqrt(n * 5.0),
+                   strict=False)
+    seeds = [derive_seed(81, j) for j in range(10)]
+    draw = sampler_for(spec, seeds)
+    for s in seeds:
+        draw(s)
+    assert steps and all(lanes == 10 for lanes, _ in steps), steps
 
 
 def test_lockstep_sweep_draw_holds_no_edge_list():

@@ -1,5 +1,6 @@
 """Tests for the experiment harness: spec parsing, grids, rows, emission, CLI."""
 
+import csv
 import hashlib
 import json
 import math
@@ -554,6 +555,32 @@ def test_cli_partial_failure_exit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "1 of 2 grid points failed" in captured.err
     assert captured.out.count("\n") == 3
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 90.9 TiB", ""])
+def test_cli_point_out_of_memory_keeps_the_other_rows(message, tmp_path, capsys, monkeypatch):
+    # K_n's adjacency at n = 1e7 would take 90.9 TiB: numpy raises
+    # MemoryError, which fails that point's row, not the whole run
+    sim = {"t_horizon": 1, "replicates": 10}
+    path = write_spec(tmp_path, kind="simulate", sim=sim,
+                      graph={"family": "complete", "n": [5]})
+    assert main(["simulate", "--spec", path]) == EXIT_OK
+    alone = capsys.readouterr().out.splitlines()
+    complete = generators._complete_neighbors
+
+    def neighbors(n):
+        if n > 5:
+            raise MemoryError(message)
+        return complete(n)
+
+    monkeypatch.setattr(generators, "_complete_neighbors", neighbors)
+    path = write_spec(tmp_path, kind="simulate", sim=sim,
+                      graph={"family": "complete", "n": [5, 6]})
+    assert main(["simulate", "--spec", path]) == EXIT_PARTIAL
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == alone
+    row = dict(zip(COLUMNS, next(csv.reader(lines[2:]))))
+    assert row["error"] == (f"out of memory: {message}" if message else "out of memory")
 
 
 def test_cli_output_file_and_format(tmp_path, capsys):

@@ -17,7 +17,7 @@ from scipy.stats import chisquare, poisson
 from coinwalk import walk_sim
 from coinwalk.generators import gen_complete, gen_gnp
 from coinwalk.graph_core import build_graph
-from coinwalk.rng import Stream, derive_seeds, mix64_into
+from coinwalk.rng import MASK64, Stream, derive_seeds, mix64_into
 from coinwalk.walk_sim import SimConfig, simulate_batch, verify_theorem1
 
 
@@ -91,6 +91,10 @@ def test_sim_config_validation():
         SimConfig(t_horizon=1.0, beta=-0.5)
     with pytest.raises(ValueError, match="replicates"):
         SimConfig(t_horizon=1.0, replicates=0)
+    # the top 64-bit seed is a master seed like any other: a point's derived
+    # seed can take it, and master seed 2**64 is refused (test_harness.py)
+    batch = simulate_batch(path3(), SimConfig(t_horizon=1.0, replicates=3, master_seed=MASK64))
+    assert batch.taus.size == 3
 
 
 def test_simulation_rejects_edgeless_graph():
